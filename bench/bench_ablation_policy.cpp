@@ -42,12 +42,12 @@ int main(int argc, char** argv) {
   struct Variant {
     const char* name;
     double beamwidth_deg;
-    core::ProbePolicy policy;
+    core::BeamPolicyKind policy;
   };
   const Variant variants[] = {
-      {"adjacent (paper)", 20.0, core::ProbePolicy::kAdjacent},
-      {"full re-sweep", 20.0, core::ProbePolicy::kFullSweep},
-      {"omni", 0.0, core::ProbePolicy::kAdjacent},
+      {"adjacent (paper)", 20.0, core::BeamPolicyKind::kSilentTracker},
+      {"full re-sweep", 20.0, core::BeamPolicyKind::kFullSweep},
+      {"omni", 0.0, core::BeamPolicyKind::kSilentTracker},
   };
 
   Table table({"scenario", "policy", "time aligned %", "handover success [CI]",
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       core::ScenarioSpec spec = scenario.spec;
       for (core::UeProfile& ue : spec.ues) {
         ue.ue_beamwidth_deg = variant.beamwidth_deg;
-        ue.tracker.probe_policy = variant.policy;
+        ue.beam_policy.kind = variant.policy;
       }
 
       const st::bench::Aggregate agg =

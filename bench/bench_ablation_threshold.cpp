@@ -57,11 +57,11 @@ int main(int argc, char** argv) {
         const core::ScenarioResult result = core::run_scenario(spec);
         agg.absorb(result);
         switches.add(static_cast<double>(
-            result.counters.value("neighbour_rx_switches") +
-            result.counters.value("serving_rx_switches")));
+            result.counters[obs::ProtocolCounter::kNeighbourRxSwitches] +
+            result.counters[obs::ProtocolCounter::kServingRxSwitches]));
         drops.add(static_cast<double>(
-            result.counters.value("neighbour_drop_events") +
-            result.counters.value("serving_drop_events")));
+            result.counters[obs::ProtocolCounter::kNeighbourDropEvents] +
+            result.counters[obs::ProtocolCounter::kServingDropEvents]));
       }
 
       table.row()

@@ -29,15 +29,15 @@ int main() {
   struct Variant {
     const char* name;
     core::ProtocolKind protocol;
-    core::ProbePolicy policy;
+    core::BeamPolicyKind policy;
   };
   const Variant variants[] = {
       {"silent_tracker / adjacent (paper)", core::ProtocolKind::kSilentTracker,
-       core::ProbePolicy::kAdjacent},
+       core::BeamPolicyKind::kSilentTracker},
       {"silent_tracker / full re-sweep", core::ProtocolKind::kSilentTracker,
-       core::ProbePolicy::kFullSweep},
+       core::BeamPolicyKind::kFullSweep},
       {"reactive (no pre-HO measurement)", core::ProtocolKind::kReactive,
-       core::ProbePolicy::kAdjacent},
+       core::BeamPolicyKind::kSilentTracker},
   };
 
   Table table({"scenario", "policy", "SSB obs/s", "time aligned %",
@@ -51,7 +51,7 @@ int main() {
                                     .build();
       core::UeProfile& ue = spec.ues.front();
       ue.protocol = variant.protocol;
-      ue.tracker.probe_policy = variant.policy;
+      ue.beam_policy.kind = variant.policy;
 
       st::bench::Aggregate agg;
       RunningStats obs_per_s;

@@ -7,6 +7,7 @@
 // horizon (Tracking, i.e. how much head start the protocol banks before
 // the serving cell dies), and access time (Accessing).
 #include <iostream>
+#include <optional>
 
 #include "bench_util.hpp"
 
@@ -14,6 +15,19 @@ namespace {
 
 using namespace st;
 using namespace st::sim::literals;
+
+/// Time of the first SilentTracker trace event satisfying `match`.
+template <typename Match>
+std::optional<sim::Time> first_tracker_event(const core::ScenarioResult& r,
+                                             Match match) {
+  for (const obs::TraceEvent& e :
+       r.trace->buffer(obs::Component::kSilentTracker).snapshot()) {
+    if (match(e)) {
+      return e.t;
+    }
+  }
+  return std::nullopt;
+}
 
 struct Dwells {
   SampleSet search_ms;    ///< start -> FOUND
@@ -33,30 +47,36 @@ int main() {
 
   core::ScenarioSpec spec = core::preset::paper_walk();
   spec.ues.front().chain_handovers = false;  // isolate one full traversal
+  spec.collect_trace = true;                 // the dwells are read off it
   for (const std::uint64_t seed : st::bench::seeds(30)) {
     spec.seed = seed;
     const core::ScenarioResult result = core::run_scenario(spec);
 
-    sim::Time t_found{};
-    sim::Time t_lost{};
-    sim::Time t_access{};
-    sim::Time t_complete{};
-    const bool found = result.log.first_time_of("FOUND", t_found);
-    const bool lost = result.log.first_time_of("SERVING_LOST", t_lost);
-    const bool access = result.log.first_time_of("STATE Accessing", t_access);
-    const bool complete = result.log.first_time_of("HO_COMPLETE", t_complete);
+    using Type = obs::TraceEventType;
+    const auto found = first_tracker_event(result, [](const auto& e) {
+      return e.type == Type::kCellFound;
+    });
+    const auto lost = first_tracker_event(result, [](const auto& e) {
+      return e.type == Type::kServingLost;
+    });
+    const auto access = first_tracker_event(result, [](const auto& e) {
+      return e.type == Type::kStateTransition && e.label == "Accessing";
+    });
+    const auto complete = first_tracker_event(result, [](const auto& e) {
+      return e.type == Type::kHandoverComplete && e.flag;
+    });
 
     if (found) {
-      dwells.search_ms.add(t_found.ms());
+      dwells.search_ms.add(found->ms());
     }
-    if (found && lost && t_found < t_lost) {
-      dwells.tracking_ms.add((t_lost - t_found).ms());
+    if (found && lost && *found < *lost) {
+      dwells.tracking_ms.add((*lost - *found).ms());
     }
     if (lost) {
-      discovery_before_loss.record(found && t_found < t_lost);
+      discovery_before_loss.record(found && *found < *lost);
     }
     if (access && complete) {
-      dwells.access_ms.add((t_complete - t_access).ms());
+      dwells.access_ms.add((*complete - *access).ms());
     }
   }
 

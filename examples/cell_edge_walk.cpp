@@ -10,6 +10,7 @@
 //   ./cell_edge_walk [seed]
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "common/table.hpp"
 #include "core/scenario.hpp"
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
   core::ScenarioSpec spec =
       core::SpecBuilder(core::preset::paper_walk())
           .duration(30'000_ms)
-          .collect_trace(true)  // feeds the run-report summary below
+          .collect_trace(true)  // the narration and run-report summary
           .seed(argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7)
           .build();
   spec.ues.front().chain_handovers = false;  // one clean A -> B story
@@ -59,10 +60,15 @@ int main(int argc, char** argv) {
   // Interleave the 1 Hz link picture with protocol events.
   std::cout << "time      serving-SNR        protocol events\n";
   std::size_t next_event = 0;
-  const auto events = result.log.entries();
+  const std::vector<obs::NarrativeLine> events =
+      obs::render_narrative(*result.trace).lines;
   sim::Time done = sim::Time::zero() + sim::Duration::milliseconds(30'000);
-  if (sim::Time t{}; result.log.first_time_of("HO_COMPLETE", t)) {
-    done = t;
+  for (const obs::TraceEvent& e :
+       result.trace->buffer(obs::Component::kSilentTracker).snapshot()) {
+    if (e.type == obs::TraceEventType::kHandoverComplete && e.flag) {
+      done = e.t;
+      break;
+    }
   }
   for (std::int64_t ms = 0; ms <= 30'000; ms += 1000) {
     const auto t = sim::Time::zero() + sim::Duration::milliseconds(ms);

@@ -17,6 +17,7 @@
 #include "core/silent_tracker.hpp"
 #include "mobility/trace.hpp"
 #include "net/deployment.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -77,10 +78,12 @@ int main(int argc, char** argv) {
   const auto initial = env.ground_truth_best_pair(0, sim::Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(initial.tx_beam);
 
-  core::SilentTracker tracker(simulator, env, core::SilentTrackerConfig{});
-  sim::EventLog log;
-  sim::CounterSet counters;
-  tracker.set_recorders(&log, &counters);
+  const std::unique_ptr<core::BeamPolicy> policy =
+      core::make_beam_policy(core::BeamPolicyConfig{});
+  obs::TraceRecorder recorder;
+  core::SilentTracker tracker(simulator, env, core::SilentTrackerConfig{},
+                              *policy);
+  tracker.set_sinks({.trace = &recorder});
   std::optional<net::HandoverRecord> handover;
   tracker.start(0, initial.rx_beam, initial.rx_power_dbm,
                 [&](const net::HandoverRecord& r) { handover = r; });
@@ -88,11 +91,11 @@ int main(int argc, char** argv) {
   simulator.run_until(trace->end_time());
 
   std::cout << "--- protocol events along the trace ---\n";
-  for (const auto& e : log.entries()) {
-    const Pose pose = trace->pose_at(e.t);
-    std::printf("  %9.1f ms  x=%5.1f yaw=%6.1f  %s\n", e.t.ms(),
+  for (const obs::NarrativeLine& line : obs::render_narrative(recorder).lines) {
+    const Pose pose = trace->pose_at(line.t);
+    std::printf("  %9.1f ms  x=%5.1f yaw=%6.1f  %s\n", line.t.ms(),
                 pose.position.x, rad_to_deg(pose.orientation.yaw()),
-                e.message.c_str());
+                line.message.c_str());
   }
 
   std::cout << "\n--- outcome ---\n";

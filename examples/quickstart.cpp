@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
       st::core::SpecBuilder(st::core::preset::paper_walk())
           .duration(st::sim::Duration::milliseconds(20'000))
           .seed(argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42)
+          .collect_trace()
           .build();
   const st::core::UeProfile& ue = spec.ues.front();
 
@@ -28,9 +29,10 @@ int main(int argc, char** argv) {
   const st::core::ScenarioResult result = st::core::run_scenario(spec);
 
   std::cout << "--- protocol timeline ---\n";
-  for (const auto& entry : result.log.entries()) {
-    std::cout << "  " << st::sim::to_string(entry.t) << "  ["
-              << entry.component << "] " << entry.message << '\n';
+  for (const auto& line : st::obs::render_narrative(*result.trace).lines) {
+    std::cout << "  " << st::sim::to_string(line.t) << "  ["
+              << st::obs::to_string(line.component) << "] " << line.message
+              << '\n';
   }
 
   std::cout << "\n--- handovers ---\n";
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
             << 100.0 * result.tracking_alignment_fraction() << " %\n";
 
   std::cout << "\n--- counters ---\n";
-  for (const auto& [name, value] : result.counters.all()) {
+  for (const auto& [name, value] : result.counters.nonzero()) {
     std::cout << "  " << name << " = " << value << '\n';
   }
   return 0;

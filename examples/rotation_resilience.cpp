@@ -34,15 +34,17 @@ int main(int argc, char** argv) {
 
   const core::ScenarioResult result = core::run_scenario(spec);
 
+  using obs::ProtocolCounter;
   std::cout << "--- beam switching activity ---\n"
             << "  serving RX switches   : "
-            << result.counters.value("serving_rx_switches") << '\n'
+            << result.counters[ProtocolCounter::kServingRxSwitches] << '\n'
             << "  neighbour RX switches : "
-            << result.counters.value("neighbour_rx_switches") << '\n'
+            << result.counters[ProtocolCounter::kNeighbourRxSwitches] << '\n'
             << "  recovery sweeps       : "
-            << result.counters.value("neighbour_recovery_sweeps") << '\n'
+            << result.counters[ProtocolCounter::kNeighbourRecoverySweeps]
+            << '\n'
             << "  BS-side switches      : "
-            << result.counters.value("bs_switches")
+            << result.counters[ProtocolCounter::kBsSwitches]
             << "  (pure rotation does not move the departure angle — this "
                "should be ~0)\n";
 
@@ -50,10 +52,11 @@ int main(int argc, char** argv) {
   // the serving tracker should switch ~6 times per second.
   const double run_s = spec.duration.seconds();
   std::cout << "  serving switch rate   : "
-            << format_double(static_cast<double>(result.counters.value(
-                                 "serving_rx_switches")) /
-                                 run_s,
-                             1)
+            << format_double(
+                   static_cast<double>(
+                       result.counters[ProtocolCounter::kServingRxSwitches]) /
+                       run_s,
+                   1)
             << " /s (ideal for 120 deg/s with 20-deg beams: 6.0 /s)\n";
 
   std::cout << "\n--- link quality through the spin ---\n";

@@ -148,7 +148,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  spec.collect_trace = !trace_out.empty() || !report_out.empty();
+  // The event log printed below is rendered from the trace.
+  const bool print_log = !quiet && csv.empty();
+  spec.collect_trace = !trace_out.empty() || !report_out.empty() || print_log;
 
   const core::ScenarioResult result = core::run_scenario(spec);
 
@@ -184,10 +186,16 @@ int main(int argc, char** argv) {
     usage_error("unknown series '" + csv + "' (rss|gap|snr)");
   }
 
-  if (!quiet) {
-    for (const auto& e : result.log.entries()) {
-      std::cout << st::sim::to_string(e.t) << "  [" << e.component << "] "
-                << e.message << '\n';
+  if (print_log) {
+    const obs::Narrative narrative = obs::render_narrative(*result.trace);
+    if (narrative.dropped > 0) {
+      std::cout << "(trace rings overflowed: " << narrative.dropped
+                << " earliest events dropped, the log below has gaps)\n";
+    }
+    for (const obs::NarrativeLine& line : narrative.lines) {
+      std::cout << st::sim::to_string(line.t) << "  ["
+                << obs::to_string(line.component) << "] " << line.message
+                << '\n';
     }
     std::cout << '\n';
   }
@@ -203,7 +211,7 @@ int main(int argc, char** argv) {
             << format_double(100.0 * result.alignment_until_first_handover(),
                              1)
             << "%\n";
-  for (const auto& [name, value] : result.counters.all()) {
+  for (const auto& [name, value] : result.counters.nonzero()) {
     std::cout << "counter " << name << "=" << value << '\n';
   }
   return 0;

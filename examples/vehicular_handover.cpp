@@ -51,10 +51,12 @@ int main(int argc, char** argv) {
                              1)
             << "% of pre-handover tracking time\n"
             << "  beam switches       : "
-            << result.counters.value("neighbour_rx_switches") << " neighbour, "
-            << result.counters.value("serving_rx_switches") << " serving\n"
+            << result.counters[obs::ProtocolCounter::kNeighbourRxSwitches]
+            << " neighbour, "
+            << result.counters[obs::ProtocolCounter::kServingRxSwitches]
+            << " serving\n"
             << "  BS-side switches    : "
-            << result.counters.value("bs_switches") << '\n';
+            << result.counters[obs::ProtocolCounter::kBsSwitches] << '\n';
 
   std::cout << '\n' << core::build_run_report(spec, result).summary_text();
   return 0;

@@ -9,6 +9,8 @@ std::string_view to_string(BeamPolicyKind kind) noexcept {
   switch (kind) {
     case BeamPolicyKind::kSilentTracker:
       return "silent_tracker";
+    case BeamPolicyKind::kFullSweep:
+      return "silent_tracker_full_sweep";
     case BeamPolicyKind::kHierarchical:
       return "hierarchical";
     case BeamPolicyKind::kBlind:
@@ -28,7 +30,8 @@ class SilentTrackerPolicy final : public BeamPolicy {
   explicit SilentTrackerPolicy(bool full_sweep) : full_sweep_(full_sweep) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return full_sweep_ ? "silent_tracker_full_sweep" : "silent_tracker";
+    return to_string(full_sweep_ ? BeamPolicyKind::kFullSweep
+                                 : BeamPolicyKind::kSilentTracker);
   }
 
   void plan_probe(const BeamProbeContext& ctx,
@@ -148,17 +151,18 @@ class BlindPolicy final : public BeamPolicy {
 
 }  // namespace
 
-std::unique_ptr<BeamPolicy> make_beam_policy(const BeamPolicyConfig& config,
-                                             bool full_sweep) {
+std::unique_ptr<BeamPolicy> make_beam_policy(const BeamPolicyConfig& config) {
   switch (config.kind) {
     case BeamPolicyKind::kHierarchical:
       return std::make_unique<HierarchicalPolicy>(config.coarse_stride);
     case BeamPolicyKind::kBlind:
       return std::make_unique<BlindPolicy>();
+    case BeamPolicyKind::kFullSweep:
+      return std::make_unique<SilentTrackerPolicy>(/*full_sweep=*/true);
     case BeamPolicyKind::kSilentTracker:
       break;
   }
-  return std::make_unique<SilentTrackerPolicy>(full_sweep);
+  return std::make_unique<SilentTrackerPolicy>(/*full_sweep=*/false);
 }
 
 }  // namespace st::core

@@ -9,6 +9,10 @@
 //    adjacent beams (trend side only under steady drift) plus a fresh
 //    re-measurement of the current beam. Two to three bursts per
 //    reaction; beats everything on reaction latency.
+//  * kFullSweep — the E6 ablation of the paper's design: re-measure the
+//    whole codebook on every drop. More accurate per decision, but so
+//    slow (one burst per beam) that the link moves on before the sweep
+//    finishes.
 //  * kHierarchical — coarse-to-fine fast beam training in the style of
 //    Palacios et al. ("Tracking mm-Wave Channel Dynamics"): probe a
 //    strided coarse tier spanning the whole codebook, then refine one
@@ -24,9 +28,8 @@
 // the one-shot full-codebook recovery sweep, re-baselining — is common
 // machinery and stays in SilentTracker; policies only plan candidate
 // lists. The default policy reproduces the historical planner bit for
-// bit (including the ProbePolicy::kFullSweep ablation), so runs with
-// `beam_policy` unset are fingerprint-identical to before the
-// extraction.
+// bit, so runs with `beam_policy` unset are fingerprint-identical to
+// before the extraction.
 #pragma once
 
 #include <memory>
@@ -39,10 +42,12 @@ namespace st::core {
 
 enum class BeamPolicyKind {
   kSilentTracker,  ///< the paper's adjacent-probe rule (default)
+  kFullSweep,      ///< the whole codebook on every drop (E6 ablation)
   kHierarchical,   ///< coarse tier, then refine around the winner
   kBlind,          ///< jump to the trend-predicted beam, no re-measure
 };
 
+/// "silent_tracker", "silent_tracker_full_sweep", "hierarchical", "blind".
 [[nodiscard]] std::string_view to_string(BeamPolicyKind kind) noexcept;
 
 struct BeamPolicyConfig {
@@ -89,9 +94,8 @@ class BeamPolicy {
   }
 };
 
-/// kFullSweep mirrors SilentTrackerConfig::probe_policy for the default
-/// policy (the E6 ablation); the competitors ignore it.
+/// The policy's name() equals to_string(config.kind).
 [[nodiscard]] std::unique_ptr<BeamPolicy> make_beam_policy(
-    const BeamPolicyConfig& config, bool full_sweep = false);
+    const BeamPolicyConfig& config);
 
 }  // namespace st::core

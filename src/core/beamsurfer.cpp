@@ -177,7 +177,7 @@ void BeamSurfer::handle_serving_sample(const SsbObservation& obs) {
       // serving SSBs means the link collapsed past what the RSS filter
       // (parked at the noise floor) can express as a further drop.
       if (tracker_.drop_detected() || missed_ssbs_ >= config_.missed_ssb_limit) {
-        emit_.count("serving_drop_events");
+        emit_.count(obs::ProtocolCounter::kServingDropEvents);
         emit_.emit({.t = simulator_.now(),
                     .type = obs::TraceEventType::kRssDrop,
                     .cell = cell_,
@@ -227,7 +227,7 @@ void BeamSurfer::finish_probing() {
                   .beam_a = tracker_.beam(),
                   .beam_b = best->first,
                   .value = best->second});
-      emit_.count("serving_rx_switches");
+      emit_.count(obs::ProtocolCounter::kServingRxSwitches);
       rx_trend_ = best->first == environment_.ue_codebook().left_neighbour(
                                      tracker_.beam())
                       ? -1
@@ -265,7 +265,7 @@ void BeamSurfer::attempt_bs_switch() {
   // through that tells the mobile the serving cell is lost (the paper's
   // trigger for switching cells).
   ++request_attempts_;
-  emit_.count("bs_switch_requests");
+  emit_.count(obs::ProtocolCounter::kBsSwitchRequests);
   const bool delivered = environment_.uplink_success(
       cell_, tracker_.beam(), environment_.bs(cell_).serving_tx_beam(),
       simulator_.now());
@@ -285,7 +285,7 @@ void BeamSurfer::attempt_bs_switch() {
                   .type = obs::TraceEventType::kTxBeamSwitch,
                   .cell = cell_,
                   .beam_b = new_tx});
-      emit_.count("bs_switches");
+      emit_.count(obs::ProtocolCounter::kBsSwitches);
       environment_.bs_mutable(cell_).set_serving_tx_beam(new_tx);
       // Re-seed on the new configuration at its reported strength.
       tracker_.select_beam(tracker_.beam(), best_adjacent_tx_->second);
@@ -301,7 +301,7 @@ void BeamSurfer::attempt_bs_switch() {
     emit_.emit({.t = simulator_.now(),
                 .type = obs::TraceEventType::kServingUnreachable,
                 .cell = cell_});
-    emit_.count("serving_unreachable");
+    emit_.count(obs::ProtocolCounter::kServingUnreachable);
     transition_to(State::kSteady);  // keep sampling; the owner decides
     request_attempts_ = 0;
     if (on_unreachable_) {

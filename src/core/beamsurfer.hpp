@@ -29,7 +29,6 @@
 #include "core/rss_tracker.hpp"
 #include "net/environment.hpp"
 #include "obs/trace.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace st::core {
@@ -91,16 +90,9 @@ class BeamSurfer {
     on_unreachable_ = std::move(cb);
   }
 
-  /// Optional experiment recorders (not owned; may be null). The legacy
-  /// EventLog view is derived from the typed trace events and stays
-  /// byte-identical to the historical strings.
-  void set_recorders(sim::EventLog* log, sim::CounterSet* counters) {
-    emit_.log = log;
-    emit_.counters = counters;
-  }
-
-  /// Optional structured trace sink (not owned; may be null).
-  void set_tracer(obs::TraceRecorder* recorder) { emit_.recorder = recorder; }
+  /// Optional recording sinks (typed trace, protocol counters; not owned,
+  /// may be null).
+  void set_sinks(obs::Sinks sinks) { emit_.sinks = sinks; }
 
   /// Current loop state (exposed for the contract checker and tests).
   [[nodiscard]] BeamSurferState state() const noexcept { return state_; }

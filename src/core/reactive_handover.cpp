@@ -18,31 +18,6 @@ ReactiveHandover::ReactiveHandover(sim::Simulator& simulator,
 
 ReactiveHandover::~ReactiveHandover() { stop(); }
 
-void ReactiveHandover::set_recorders(sim::EventLog* log,
-                                     sim::CounterSet* counters) {
-  emit_.log = log;
-  emit_.counters = counters;
-  if (beamsurfer_ != nullptr) {
-    beamsurfer_->set_recorders(log, counters);
-  }
-}
-
-void ReactiveHandover::set_tracer(obs::TraceRecorder* recorder) {
-  emit_.recorder = recorder;
-  if (beamsurfer_ != nullptr) {
-    beamsurfer_->set_tracer(recorder);
-  }
-  if (link_monitor_ != nullptr) {
-    link_monitor_->set_tracer(recorder);
-  }
-  if (search_ != nullptr) {
-    search_->set_tracer(recorder);
-  }
-  if (rach_ != nullptr) {
-    rach_->set_tracer(recorder);
-  }
-}
-
 void ReactiveHandover::start(net::CellId serving_cell,
                              phy::BeamId serving_rx_beam,
                              double serving_rss_dbm,
@@ -62,8 +37,7 @@ void ReactiveHandover::start(net::CellId serving_cell,
 
   beamsurfer_ = std::make_unique<BeamSurfer>(simulator_, environment_,
                                              serving_cell, config_.beamsurfer);
-  beamsurfer_->set_recorders(emit_.log, emit_.counters);
-  beamsurfer_->set_tracer(emit_.recorder);
+  beamsurfer_->set_sinks(emit_.sinks);
   // A reactive mobile has no plan B: an undeliverable switch request is
   // treated the same as RLF.
   beamsurfer_->set_unreachable_callback([this] { on_serving_lost(); });
@@ -71,7 +45,7 @@ void ReactiveHandover::start(net::CellId serving_cell,
 
   link_monitor_ = std::make_unique<net::LinkMonitor>(simulator_, environment_,
                                                      config_.link_monitor);
-  link_monitor_->set_tracer(emit_.recorder);
+  link_monitor_->set_sinks(emit_.sinks);
   link_monitor_->start(
       serving_cell, [this] { return beamsurfer_->rx_beam(); },
       [this] { on_serving_lost(); });
@@ -113,7 +87,7 @@ void ReactiveHandover::next_round() {
     return;
   }
   ++rounds_;
-  emit_.count("reactive_search_rounds");
+  emit_.count(obs::ProtocolCounter::kReactiveSearchRounds);
   std::vector<net::CellId> candidates;
   candidates.reserve(environment_.cell_count());
   for (net::CellId c = 0; c < environment_.cell_count(); ++c) {
@@ -124,7 +98,7 @@ void ReactiveHandover::next_round() {
   search_ = std::make_unique<net::CellSearch>(simulator_, environment_,
                                               std::move(candidates),
                                               config_.search);
-  search_->set_tracer(emit_.recorder);
+  search_->set_sinks(emit_.sinks);
   search_->start([this](const net::SearchOutcome& o) { on_search_done(o); });
 }
 
@@ -144,7 +118,7 @@ void ReactiveHandover::on_search_done(const net::SearchOutcome& outcome) {
 
   rach_ = std::make_unique<net::RachProcedure>(simulator_, environment_,
                                                config_.rach);
-  rach_->set_tracer(emit_.recorder);
+  rach_->set_sinks(emit_.sinks);
   // The beam is frozen at what the search found: no tracking happens
   // between search and (possibly many) RACH attempts.
   rach_->start(

@@ -22,7 +22,6 @@
 #include "net/link_monitor.hpp"
 #include "net/rach.hpp"
 #include "obs/trace.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace st::core {
@@ -57,11 +56,10 @@ class ReactiveHandover {
     return *beamsurfer_;
   }
 
-  void set_recorders(sim::EventLog* log, sim::CounterSet* counters);
-
-  /// Structured trace sink (not owned; may be null). Propagated to the
-  /// sub-procedures so every component records into the same buffers.
-  void set_tracer(obs::TraceRecorder* recorder);
+  /// Recording sinks (typed trace, protocol counters; not owned, may be
+  /// null). Propagated to the sub-procedures so every component records
+  /// into the same trace and counters. Set before start().
+  void set_sinks(obs::Sinks sinks) { emit_.sinks = sinks; }
 
  private:
   void on_serving_lost();

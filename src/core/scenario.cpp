@@ -138,13 +138,9 @@ class ScenarioRun {
       decision_ = std::make_unique<net::HandoverDecision>(
           profile_.handover_policy, spec.cell_load);
     }
-    if (profile_.beam_policy.kind != BeamPolicyKind::kSilentTracker) {
-      // One policy instance per mobile, shared across the handover chain
-      // (mirrors the decision layer). Default kind stays null so the
-      // tracker builds its own — the historical construction, bit for
-      // bit.
-      policy_ = make_beam_policy(profile_.beam_policy);
-    }
+    // One policy instance per mobile, shared across the handover chain
+    // (mirrors the decision layer).
+    policy_ = make_beam_policy(profile_.beam_policy);
     for (const double load : spec.cell_load) {
       has_load_ |= load > 0.0;
     }
@@ -189,15 +185,11 @@ class ScenarioRun {
                       double rss_dbm) {
     if (profile_.protocol == ProtocolKind::kSilentTracker) {
       trackers_.push_back(std::make_unique<SilentTracker>(
-          simulator_, *environment_, profile_.tracker));
+          simulator_, *environment_, profile_.tracker, *policy_));
       SilentTracker& tracker = *trackers_.back();
-      tracker.set_recorders(&result_.log, &result_.counters);
-      tracker.set_tracer(trace_.get());
+      tracker.set_sinks(sinks());
       if (decision_ != nullptr) {
         tracker.set_decision(decision_.get());
-      }
-      if (policy_ != nullptr) {
-        tracker.set_policy(policy_.get());
       }
       tracker.start(serving, rx_beam, rss_dbm,
                     [this](const net::HandoverRecord& r) {
@@ -207,13 +199,16 @@ class ScenarioRun {
       reactives_.push_back(std::make_unique<ReactiveHandover>(
           simulator_, *environment_, profile_.reactive));
       ReactiveHandover& reactive = *reactives_.back();
-      reactive.set_recorders(&result_.log, &result_.counters);
-      reactive.set_tracer(trace_.get());
+      reactive.set_sinks(sinks());
       reactive.start(serving, rx_beam, rss_dbm,
                      [this](const net::HandoverRecord& r) {
                        on_handover(r);
                      });
     }
+  }
+
+  [[nodiscard]] obs::Sinks sinks() {
+    return {.trace = trace_.get(), .counters = &result_.counters};
   }
 
   void on_handover(net::HandoverRecord record) {
@@ -576,10 +571,11 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
       interruption_n > 0
           ? interruption_sum / static_cast<double>(interruption_n)
           : 0.0;
-  ho.rx_beam_switches = result.counters.value("serving_rx_switches") +
-                        result.counters.value("neighbour_rx_switches");
-  ho.tx_beam_switches = result.counters.value("bs_switches") +
-                        result.counters.value("neighbour_tx_retargets");
+  using obs::ProtocolCounter;
+  ho.rx_beam_switches = result.counters[ProtocolCounter::kServingRxSwitches] +
+                        result.counters[ProtocolCounter::kNeighbourRxSwitches];
+  ho.tx_beam_switches = result.counters[ProtocolCounter::kBsSwitches] +
+                        result.counters[ProtocolCounter::kNeighbourTxRetargets];
   ho.alignment_fraction = result.tracking_alignment_fraction();
   ho.alignment_until_first_handover = result.alignment_until_first_handover();
   ho.ssb_observations = result.ssb_observations;
@@ -619,8 +615,8 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
   report.snapshot_cache.azimuth_reuses = cache.azimuth_reuses;
   report.snapshot_cache.hit_rate = cache.hit_rate();
 
-  for (const auto& [name, value] : result.counters.all()) {
-    report.counters[name] = value;
+  for (const auto& [name, value] : result.counters.nonzero()) {
+    report.counters[std::string(name)] = value;
   }
 
   if (result.trace != nullptr) {

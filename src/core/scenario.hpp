@@ -91,12 +91,12 @@ struct ScenarioResult {
   sim::TimeSeries alignment_gap_db;           ///< best − tracked (>= ~0)
   sim::TimeSeries serving_snr_db;             ///< serving link health
 
-  sim::EventLog log;
-  sim::CounterSet counters;
+  /// Protocol event counts (always populated).
+  obs::ProtocolCounters counters;
 
-  /// Typed trace (null unless ScenarioConfig::collect_trace was set).
-  /// shared_ptr so results stay copyable for the repetition-merging
-  /// experiment code.
+  /// Typed trace (null unless collect_trace was set); the run's story is
+  /// obs::render_narrative(*trace). shared_ptr so results stay copyable
+  /// for the repetition-merging experiment code.
   std::shared_ptr<obs::TraceRecorder> trace;
 
   /// Engine runtime statistics (always populated).
@@ -205,7 +205,8 @@ struct ScenarioResult {
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// Assemble the machine-readable run report from a finished result:
-/// handover outcomes, engine and snapshot-cache stats, legacy counters,
+/// handover outcomes, engine and snapshot-cache stats, non-zero protocol
+/// counters,
 /// registry gauges, and latency digests (tracking loop, search, RACH,
 /// per-event dispatch) derived from the typed trace when present. `ue`
 /// selects which mobile of the spec the result belongs to.

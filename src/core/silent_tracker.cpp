@@ -41,11 +41,12 @@ void SilentTracker::transition_to(SilentTrackerState next) {
 
 SilentTracker::SilentTracker(sim::Simulator& simulator,
                              net::RadioEnvironment& environment,
-                             SilentTrackerConfig config)
+                             SilentTrackerConfig config, BeamPolicy& policy)
     : simulator_(simulator),
       environment_(environment),
       config_(config),
-      neighbour_rss_(config.neighbour_tracker) {
+      neighbour_rss_(config.neighbour_tracker),
+      policy_(policy) {
   if (environment.cell_count() < 2) {
     throw std::invalid_argument(
         "SilentTracker: needs a serving cell and at least one neighbour");
@@ -54,48 +55,12 @@ SilentTracker::SilentTracker(sim::Simulator& simulator,
 
 SilentTracker::~SilentTracker() { stop(); }
 
-void SilentTracker::set_recorders(sim::EventLog* log,
-                                  sim::CounterSet* counters) {
-  emit_.log = log;
-  emit_.counters = counters;
-  if (beamsurfer_ != nullptr) {
-    beamsurfer_->set_recorders(log, counters);
-  }
-}
-
 void SilentTracker::set_decision(net::HandoverDecision* decision) {
   if (state_ != SilentTrackerState::kIdle) {
     throw std::logic_error(
         "SilentTracker: set_decision before start(), not mid-run");
   }
   decision_ = decision;
-}
-
-void SilentTracker::set_policy(BeamPolicy* policy) {
-  if (state_ != SilentTrackerState::kIdle) {
-    throw std::logic_error(
-        "SilentTracker: set_policy before start(), not mid-run");
-  }
-  policy_ = policy;
-}
-
-void SilentTracker::set_tracer(obs::TraceRecorder* recorder) {
-  emit_.recorder = recorder;
-  if (beamsurfer_ != nullptr) {
-    beamsurfer_->set_tracer(recorder);
-  }
-  if (link_monitor_ != nullptr) {
-    link_monitor_->set_tracer(recorder);
-  }
-  if (search_ != nullptr) {
-    search_->set_tracer(recorder);
-  }
-  if (fallback_search_ != nullptr) {
-    fallback_search_->set_tracer(recorder);
-  }
-  if (rach_ != nullptr) {
-    rach_->set_tracer(recorder);
-  }
 }
 
 void SilentTracker::start(net::CellId serving_cell,
@@ -114,24 +79,16 @@ void SilentTracker::start(net::CellId serving_cell,
   record_ = net::HandoverRecord{};
   record_.from = serving_cell;
 
-  if (policy_ == nullptr) {
-    owned_policy_ = make_beam_policy(
-        BeamPolicyConfig{},
-        config_.probe_policy == ProbePolicy::kFullSweep);
-    policy_ = owned_policy_.get();
-  }
-
   beamsurfer_ = std::make_unique<BeamSurfer>(simulator_, environment_,
                                              serving_cell, config_.beamsurfer);
-  beamsurfer_->set_recorders(emit_.log, emit_.counters);
-  beamsurfer_->set_tracer(emit_.recorder);
+  beamsurfer_->set_sinks(emit_.sinks);
   beamsurfer_->set_unreachable_callback(
       [this] { on_serving_lost("bs_switch_request_undeliverable"); });
   beamsurfer_->start(serving_rx_beam, serving_rss_dbm);
 
   link_monitor_ = std::make_unique<net::LinkMonitor>(simulator_, environment_,
                                                      config_.link_monitor);
-  link_monitor_->set_tracer(emit_.recorder);
+  link_monitor_->set_sinks(emit_.sinks);
   link_monitor_->start(
       serving_cell, [this] { return beamsurfer_->rx_beam(); },
       [this] { on_serving_lost("radio_link_failure"); });
@@ -197,7 +154,7 @@ void SilentTracker::enter_searching() {
   search_ = std::make_unique<net::CellSearch>(
       simulator_, environment_, std::move(candidates), config_.search,
       [this](sim::Time t) { return radio_busy(t); });
-  search_->set_tracer(emit_.recorder);
+  search_->set_sinks(emit_.sinks);
   search_->start([this](const net::SearchOutcome& o) { on_search_done(o); });
 }
 
@@ -206,7 +163,7 @@ void SilentTracker::on_search_done(const net::SearchOutcome& outcome) {
     return;
   }
   if (!outcome.found) {
-    emit_.count("initial_search_misses");
+    emit_.count(obs::ProtocolCounter::kInitialSearchMisses);
     // Fig. 2b: keep searching until a neighbour beam is discovered (or
     // the serving link dies, which routes to the fallback path).
     enter_searching();
@@ -232,13 +189,13 @@ void SilentTracker::on_search_done(const net::SearchOutcome& outcome) {
       // Every detection was penalized (or off-list): per the penalty
       // rule nothing is selectable yet — keep searching until a timer
       // expires or another cell appears.
-      emit_.count("policy_no_eligible_candidate");
+      emit_.count(obs::ProtocolCounter::kPolicyNoEligibleCandidate);
       enter_searching();
       return;
     }
     const net::SsbObservation& chosen = outcome.all[*pick];
     if (chosen.cell != outcome.cell) {
-      emit_.count("policy_selection_diverted");
+      emit_.count(obs::ProtocolCounter::kPolicySelectionDiverted);
     }
     ST_INVARIANT(invariants::check_decision_in_neighbor_list(
         serving_, chosen.cell, neighbors));
@@ -251,7 +208,7 @@ void SilentTracker::on_search_done(const net::SearchOutcome& outcome) {
     rss_dbm = chosen.rss_dbm;
   }
 
-  emit_.count("initial_search_hits");
+  emit_.count(obs::ProtocolCounter::kInitialSearchHits);
   neighbour_ = cell;
   neighbour_tx_beam_ = tx_beam;
   neighbour_rss_.select_beam(rx_beam, rss_dbm);
@@ -281,7 +238,7 @@ void SilentTracker::enter_tracking() {
   missed_tracked_ = 0;
   in_recovery_sweep_ = false;
   neighbour_quiet_since_.reset();
-  policy_->reset();
+  policy_.reset();
 
   const Time next = environment_.bs(neighbour_)
                         .schedule()
@@ -334,7 +291,7 @@ void SilentTracker::on_rival_scan() {
               return;
             }
             if (radio_busy(simulator_.now())) {
-              emit_.count("rival_slots_preempted");
+              emit_.count(obs::ProtocolCounter::kRivalSlotsPreempted);
               return;
             }
             const SsbObservation obs =
@@ -363,7 +320,7 @@ void SilentTracker::check_crossover() {
   if (!winner.has_value()) {
     return;
   }
-  emit_.count("neighbour_crossovers");
+  emit_.count(obs::ProtocolCounter::kNeighbourCrossovers);
   // Fig. 2b stays normative: the crossover is the Tracking ->
   // InitialSearch "abandon" edge, and the fresh search's ranked
   // selection is what actually retargets (the rival must still be
@@ -376,7 +333,7 @@ void SilentTracker::abandon_tracked(std::string_view reason) {
               .type = obs::TraceEventType::kNeighbourAbandoned,
               .cell = neighbour_,
               .label = reason});
-  emit_.count("neighbour_abandoned");
+  emit_.count(obs::ProtocolCounter::kNeighbourAbandoned);
   cancel_tracking_events();
   probe_pending_.clear();
   probe_results_.clear();
@@ -405,7 +362,7 @@ void SilentTracker::on_neighbour_burst() {
   tracking_events_.push_back(simulator_.schedule_at(
       tracked_slot.start, [this, listen_beam] {
         if (radio_busy(simulator_.now())) {
-          emit_.count("neighbour_slots_preempted");
+          emit_.count(obs::ProtocolCounter::kNeighbourSlotsPreempted);
           return;
         }
         const SsbObservation obs = environment_.observe_ssb(
@@ -492,7 +449,7 @@ void SilentTracker::handle_neighbour_sample(const SsbObservation& obs) {
                 .type = obs::TraceEventType::kNeighbourAbandoned,
                 .cell = neighbour_,
                 .value = (simulator_.now() - *neighbour_quiet_since_).ms()});
-    emit_.count("neighbour_abandoned");
+    emit_.count(obs::ProtocolCounter::kNeighbourAbandoned);
     cancel_tracking_events();
     probe_pending_.clear();
     probe_results_.clear();
@@ -513,7 +470,7 @@ void SilentTracker::handle_neighbour_sample(const SsbObservation& obs) {
                   .cell = neighbour_,
                   .beam_a = neighbour_tx_beam_,
                   .beam_b = best_adjacent_tx_->first});
-      emit_.count("neighbour_tx_retargets");
+      emit_.count(obs::ProtocolCounter::kNeighbourTxRetargets);
       neighbour_tx_beam_ = best_adjacent_tx_->first;
       neighbour_rss_.select_beam(neighbour_rss_.beam(),
                                  best_adjacent_tx_->second);
@@ -533,13 +490,13 @@ void SilentTracker::handle_neighbour_sample(const SsbObservation& obs) {
         state_, neighbour_rss_.beam(), environment_.ue_codebook().size()));
     const bool lost = missed_tracked_ >= 3;
     missed_tracked_ = 0;
-    emit_.count("neighbour_drop_events");
+    emit_.count(obs::ProtocolCounter::kNeighbourDropEvents);
     emit_.emit({.t = simulator_.now(),
                 .type = obs::TraceEventType::kRssDrop,
                 .cell = neighbour_,
                 .value = neighbour_rss_.filtered_rss_dbm(),
                 .value2 = neighbour_rss_.reference_rss_dbm()});
-    policy_->plan_probe({.codebook = environment_.ue_codebook(),
+    policy_.plan_probe({.codebook = environment_.ue_codebook(),
                          .current = neighbour_rss_.beam(),
                          .filtered_rss_dbm = neighbour_rss_.filtered_rss_dbm(),
                          .rx_trend = rx_trend_,
@@ -566,7 +523,7 @@ void SilentTracker::finish_neighbour_probe() {
     probe_results_.clear();
     if (!in_recovery_sweep_) {
       in_recovery_sweep_ = true;
-      emit_.count("neighbour_recovery_sweeps");
+      emit_.count(obs::ProtocolCounter::kNeighbourRecoverySweeps);
       emit_.emit({.t = simulator_.now(),
                   .type = obs::TraceEventType::kRecoverySweep,
                   .cell = neighbour_});
@@ -590,14 +547,14 @@ void SilentTracker::finish_neighbour_probe() {
   // coarse-to-fine refines one narrower ring around the coarse winner).
   // The default policy never does, keeping the historical single-round
   // behaviour — and its fingerprint — intact.
-  policy_->plan_refine({.codebook = environment_.ue_codebook(),
+  policy_.plan_refine({.codebook = environment_.ue_codebook(),
                         .current = neighbour_rss_.beam(),
                         .filtered_rss_dbm = neighbour_rss_.filtered_rss_dbm(),
                         .rx_trend = rx_trend_,
                         .lost = false},
                        winner, probe_pending_);
   if (!probe_pending_.empty()) {
-    emit_.count("probe_refine_rounds");
+    emit_.count(obs::ProtocolCounter::kProbeRefineRounds);
     probing_now_.reset();
     probe_results_.clear();
     return;
@@ -610,7 +567,7 @@ void SilentTracker::finish_neighbour_probe() {
                 .beam_a = neighbour_rss_.beam(),
                 .beam_b = winner,
                 .value = winner_rss});
-    emit_.count("neighbour_rx_switches");
+    emit_.count(obs::ProtocolCounter::kNeighbourRxSwitches);
     rx_trend_ = winner == environment_.ue_codebook().left_neighbour(
                               neighbour_rss_.beam())
                     ? -1
@@ -640,7 +597,7 @@ void SilentTracker::on_serving_lost(std::string_view reason) {
               .type = obs::TraceEventType::kServingLost,
               .cell = serving_,
               .label = reason});
-  emit_.count("serving_lost");
+  emit_.count(obs::ProtocolCounter::kServingLost);
   beamsurfer_->stop();
   link_monitor_->stop();
 
@@ -679,7 +636,7 @@ void SilentTracker::enter_accessing() {
 
   rach_ = std::make_unique<net::RachProcedure>(simulator_, environment_,
                                                config_.rach);
-  rach_->set_tracer(emit_.recorder);
+  rach_->set_sinks(emit_.sinks);
   rach_->start(
       neighbour_, neighbour_tx_beam_,
       [this] { return neighbour_rss_.beam(); },
@@ -698,7 +655,7 @@ void SilentTracker::on_rach_done(const net::RachOutcome& outcome) {
     complete(true);
     return;
   }
-  emit_.count("rach_failures");
+  emit_.count(obs::ProtocolCounter::kRachFailures);
   enter_fallback();
 }
 
@@ -718,7 +675,7 @@ void SilentTracker::enter_fallback() {
   emit_.emit({.t = simulator_.now(),
               .type = obs::TraceEventType::kStateTransition,
               .label = "FallbackSearch"});
-  emit_.count("fallback_searches");
+  emit_.count(obs::ProtocolCounter::kFallbackSearches);
 
   // Even with the serving cell gone, the candidate set is the
   // deployment's declared neighbour list of the last serving cell (the
@@ -729,7 +686,7 @@ void SilentTracker::enter_fallback() {
   // user has no service either.
   fallback_search_ = std::make_unique<net::CellSearch>(
       simulator_, environment_, std::move(candidates), config_.search);
-  fallback_search_->set_tracer(emit_.recorder);
+  fallback_search_->set_sinks(emit_.sinks);
   fallback_search_->start(
       [this](const net::SearchOutcome& o) { on_fallback_search_done(o); });
 }
@@ -789,7 +746,8 @@ void SilentTracker::complete(bool success) {
               .beam_b = record_.final_rx_beam,
               .value = record_.interruption().ms(),
               .flag = success});
-  emit_.count(success ? "handover_complete" : "handover_failed");
+  emit_.count(success ? obs::ProtocolCounter::kHandoverComplete
+                      : obs::ProtocolCounter::kHandoverFailed);
   if (on_handover_) {
     HandoverCallback cb = std::move(on_handover_);
     on_handover_ = nullptr;

@@ -48,7 +48,6 @@
 #include "net/link_monitor.hpp"
 #include "net/rach.hpp"
 #include "obs/trace.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace st::core {
@@ -65,16 +64,8 @@ enum class SilentTrackerState {
 
 [[nodiscard]] std::string_view to_string(SilentTrackerState state) noexcept;
 
-/// What the tracker probes when the 3 dB drop fires. The paper's design
-/// is kAdjacent (two candidate beams, one burst each); kFullSweep is the
-/// ablation baseline that re-measures the whole codebook — more accurate
-/// per decision but so slow (one burst per beam) that the link moves on
-/// before the sweep finishes.
-enum class ProbePolicy { kAdjacent, kFullSweep };
-
 struct SilentTrackerConfig {
   RssTrackerConfig neighbour_tracker{};
-  ProbePolicy probe_policy = ProbePolicy::kAdjacent;
   BeamSurferConfig beamsurfer{};
   net::CellSearchConfig search{};
   net::RachConfig rach{};
@@ -99,8 +90,12 @@ class SilentTracker {
  public:
   using HandoverCallback = std::function<void(const net::HandoverRecord&)>;
 
+  /// `policy` plans the probe rounds (BeamPolicy, core/beam_policy.hpp).
+  /// It is not owned and outlives the tracker: the scenario layer owns one
+  /// per mobile and shares it across the handover chain, like the
+  /// decision layer.
   SilentTracker(sim::Simulator& simulator, net::RadioEnvironment& environment,
-                SilentTrackerConfig config);
+                SilentTrackerConfig config, BeamPolicy& policy);
   ~SilentTracker();
 
   SilentTracker(const SilentTracker&) = delete;
@@ -138,15 +133,11 @@ class SilentTracker {
   /// moment RLF / unreachability routed the protocol towards access).
   [[nodiscard]] bool serving_alive() const noexcept { return serving_alive_; }
 
-  /// Experiment recorders (not owned; may be null). The EventLog view is
-  /// derived from the typed trace events (see obs::legacy_message) and is
-  /// byte-identical to the historical free-form strings.
-  void set_recorders(sim::EventLog* log, sim::CounterSet* counters);
-
-  /// Structured trace sink (not owned; may be null). Propagated to the
-  /// sub-procedures (BeamSurfer, search, RACH, link monitor) so every
-  /// component records into the same per-component buffers.
-  void set_tracer(obs::TraceRecorder* recorder);
+  /// Recording sinks (typed trace, protocol counters; not owned, may be
+  /// null). Propagated to the sub-procedures (BeamSurfer, search, RACH,
+  /// link monitor) so every component records into the same trace and
+  /// counters. Set before start().
+  void set_sinks(obs::Sinks sinks) { emit_.sinks = sinks; }
 
   /// Neighbour-ranking decision layer (not owned; may be null). When set
   /// and enabled, the tracker (a) draws its search candidates from the
@@ -161,19 +152,6 @@ class SilentTracker {
   /// the tracker (the scenario layer owns it across handover chains) and
   /// must be set before start().
   void set_decision(net::HandoverDecision* decision);
-
-  /// Probe-planning strategy (not owned; may be null). Null means the
-  /// paper's own planner (honouring `config.probe_policy`), constructed
-  /// lazily at start() — existing callers see bit-identical behaviour.
-  /// Like the decision layer, the policy outlives the tracker (the
-  /// scenario layer owns it across handover chains) and must be set
-  /// before start().
-  void set_policy(BeamPolicy* policy);
-
-  /// The active policy's name (valid after start()).
-  [[nodiscard]] std::string_view policy_name() const noexcept {
-    return policy_ != nullptr ? policy_->name() : std::string_view{};
-  }
 
  private:
   /// Single mutation point for `state_`: every state change funnels
@@ -251,10 +229,8 @@ class SilentTracker {
   sim::EventId rival_scan_event_ = 0;
   std::vector<sim::EventId> rival_obs_events_;
 
-  /// Probe planner. `policy_` is the active strategy; `owned_policy_`
-  /// backs it only when no external policy was injected via set_policy.
-  BeamPolicy* policy_ = nullptr;
-  std::unique_ptr<BeamPolicy> owned_policy_;
+  /// Probe planner (not owned).
+  BeamPolicy& policy_;
 
   // Handover bookkeeping.
   net::HandoverRecord record_;

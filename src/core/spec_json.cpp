@@ -79,17 +79,16 @@ void apply_handover_policy_overrides(net::HandoverPolicyConfig& policy,
 
 [[nodiscard]] BeamPolicyKind beam_policy_kind_from_string(
     std::string_view name) {
-  if (name == to_string(BeamPolicyKind::kSilentTracker)) {
-    return BeamPolicyKind::kSilentTracker;
-  }
-  if (name == to_string(BeamPolicyKind::kHierarchical)) {
-    return BeamPolicyKind::kHierarchical;
-  }
-  if (name == to_string(BeamPolicyKind::kBlind)) {
-    return BeamPolicyKind::kBlind;
+  for (const BeamPolicyKind kind :
+       {BeamPolicyKind::kSilentTracker, BeamPolicyKind::kFullSweep,
+        BeamPolicyKind::kHierarchical, BeamPolicyKind::kBlind}) {
+    if (name == to_string(kind)) {
+      return kind;
+    }
   }
   fail("unknown beam policy \"" + std::string(name) +
-       "\" (expected silent_tracker, hierarchical, or blind)");
+       "\" (expected silent_tracker, silent_tracker_full_sweep, "
+       "hierarchical, or blind)");
 }
 
 void apply_beam_policy_overrides(BeamPolicyConfig& policy,

@@ -37,7 +37,8 @@
 // candidate_ttl_ms, crossover_votes, rival_scan_period_ms,
 // ping_pong_window_ms) configuring the neighbour-ranking decision layer,
 // a nested "beam_policy" object ({"policy": "silent_tracker" |
-// "hierarchical" | "blind", "coarse_stride": 0}) selecting the
+// "silent_tracker_full_sweep" | "hierarchical" | "blind",
+// "coarse_stride": 0}) selecting the
 // beam-management strategy, plus "ping_pong_speed_mps" /
 // "ping_pong_amplitude_m" for the ping_pong mobility.
 //

@@ -81,9 +81,9 @@ class CellSearch {
 
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Structured trace sink (not owned; may be null). Search events are
-  /// trace-only: they never appear in the legacy EventLog view.
-  void set_tracer(obs::TraceRecorder* recorder) { emit_.recorder = recorder; }
+  /// Recording sinks (not owned; may be null). Search events are
+  /// trace-only: they never appear in the narrative.
+  void set_sinks(obs::Sinks sinks) { emit_.sinks = sinks; }
 
  private:
   void begin_dwell();

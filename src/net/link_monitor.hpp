@@ -56,9 +56,9 @@ class LinkMonitor {
     return below_since_.has_value();
   }
 
-  /// Structured trace sink (not owned; may be null). Link events are
+  /// Recording sinks (not owned; may be null). Link events are
   /// trace-only: outage entry and RLF, never the per-check samples.
-  void set_tracer(obs::TraceRecorder* recorder) { emit_.recorder = recorder; }
+  void set_sinks(obs::Sinks sinks) { emit_.sinks = sinks; }
 
  private:
   void check();

@@ -1,15 +1,17 @@
 // Metric registry for the telemetry layer: named counters, gauges, and
 // log-linear histograms, created on first use and owned by the registry.
 //
-// Names are dotted paths grouping by subsystem ("engine.events_executed",
-// "phy.snapshot_cache.hits", "silent_tracker.rach_failures"); the
-// RunReport walks the registry and emits every metric it finds, so
-// instrumented code never has to register anything up front.
+// Names are dotted paths grouping by subsystem ("engine.dispatch_us",
+// "phy.snapshot_cache.hit_rate", "serve.jobs.submitted"); the RunReport
+// walks the registry and emits every metric it finds, so instrumented
+// code never has to register anything up front.
 //
-// Unlike sim::CounterSet (a plain experiment recorder merged across
-// repetitions), the registry also holds histograms — the p50/p95/p99
-// material of the run report — and hands out stable references so hot
-// paths can cache `registry.counter("x")` once and skip the name lookup.
+// The protocols' fixed event counters are not registry metrics: they are
+// an enum-indexed array (obs::ProtocolCounters in obs/trace.hpp). The
+// registry holds the open-ended rest, including histograms — the
+// p50/p95/p99 material of the run report — and hands out stable
+// references so hot paths can cache `registry.counter("x")` once and skip
+// the name lookup.
 #pragma once
 
 #include <cstdint>

@@ -132,7 +132,8 @@ struct RunReport {
   EngineReport engine;
   SnapshotCacheReport snapshot_cache;
 
-  /// Legacy experiment counters (protocol event counts).
+  /// Protocol event counts that fired (obs::ProtocolCounters by name;
+  /// zero counters are absent).
   std::map<std::string, std::uint64_t> counters;
   /// Registry gauges at end of run.
   std::map<std::string, double> gauges;

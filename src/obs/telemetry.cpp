@@ -53,26 +53,19 @@ void TelemetryBus::unsubscribe(SubscriberId id) {
 
 std::uint64_t TelemetryBus::publish(TelemetryKind kind, std::uint64_t t_ns,
                                     const json::Value& payload) {
-  // Snapshot the matching subscribers under the bus lock, then deliver
-  // under each subscriber's own lock so a slow queue never serialises the
-  // others.
-  std::vector<std::shared_ptr<Subscriber>> targets;
-  std::uint64_t seq = 0;
-  {
-    const MutexLock lock(mutex_);
-    if (closed_) {
-      return next_seq_;
-    }
-    seq = next_seq_++;
-    targets.reserve(subscribers_.size());
-    for (const auto& [id, sub] : subscribers_) {
-      if (sub->filter.wants(kind)) {
-        targets.push_back(sub);
-      }
-    }
+  // Assign seq and deliver under one hold of the bus lock: two publishers
+  // then enqueue in seq order into every queue, and drop-oldest evicts by
+  // seq. Each delivery is a bounded push taken in the bus -> subscriber
+  // lock order subscribe() also uses.
+  const MutexLock lock(mutex_);
+  if (closed_) {
+    return next_seq_;
   }
-  std::uint64_t newly_dropped = 0;
-  for (const auto& sub : targets) {
+  const std::uint64_t seq = next_seq_++;
+  for (const auto& [id, sub] : subscribers_) {
+    if (!sub->filter.wants(kind)) {
+      continue;
+    }
     const MutexLock sub_lock(sub->mutex);
     if (sub->closed) {
       continue;
@@ -80,7 +73,7 @@ std::uint64_t TelemetryBus::publish(TelemetryKind kind, std::uint64_t t_ns,
     while (sub->queue.size() >= sub->capacity) {
       sub->queue.pop_front();
       ++sub->dropped_unreported;
-      ++newly_dropped;
+      ++total_dropped_;
     }
     TelemetryFrame frame;
     frame.seq = seq;
@@ -89,10 +82,6 @@ std::uint64_t TelemetryBus::publish(TelemetryKind kind, std::uint64_t t_ns,
     frame.payload = payload;
     sub->queue.push_back(std::move(frame));
     sub->cv.notify_all();
-  }
-  if (newly_dropped > 0) {
-    const MutexLock lock(mutex_);
-    total_dropped_ += newly_dropped;
   }
   return seq;
 }

@@ -84,8 +84,10 @@ class TelemetryBus {
       ST_EXCLUDES(mutex_);
   void unsubscribe(SubscriberId id) ST_EXCLUDES(mutex_);
 
-  /// Assigns the global seq and fans out to every matching subscriber.
-  /// Returns the assigned seq. The payload is copied per subscriber.
+  /// Assigns the global seq and fans out to every matching subscriber,
+  /// both under the bus lock, so concurrent publishers reach each queue in
+  /// seq order. Returns the assigned seq. The payload is copied per
+  /// subscriber.
   std::uint64_t publish(TelemetryKind kind, std::uint64_t t_ns,
                         const json::Value& payload) ST_EXCLUDES(mutex_);
 
@@ -113,9 +115,11 @@ class TelemetryBus {
  private:
   // Two lock levels: the bus mutex_ guards the registry and the global
   // counters; each Subscriber's own mutex guards its queue, so a slow
-  // consumer contends only on itself. publish() holds them in the order
-  // bus -> subscriber and never both across a wait, which is the
-  // documented (and TSan-exercised) lock order.
+  // consumer contends only on itself. publish() assigns seq and delivers
+  // under one hold of mutex_, taking each subscriber lock inside it (bus
+  // -> subscriber, never both across a wait — the documented and
+  // TSan-exercised lock order), so every queue holds its frames in seq
+  // order.
   struct Subscriber {
     mutable Mutex mutex;
     CondVar cv;

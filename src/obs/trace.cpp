@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace st::obs {
@@ -75,9 +77,9 @@ std::string_view to_string(TraceEventType type) noexcept {
 std::optional<std::string> legacy_message(Component component,
                                           const TraceEvent& event) {
   // Every string built here must be byte-identical to the one the
-  // pre-trace call site logged: tests assert on these via EventLog
-  // prefixes, and examples print them as the run's narrative. Doubles go
-  // through log_message (ostringstream default formatting) exactly as the
+  // pre-trace call site logged: examples print them as the run's
+  // narrative and determinism tests fingerprint them. Doubles go through
+  // log_message (ostringstream default formatting) exactly as the
   // originals did.
   switch (event.type) {
     case TraceEventType::kStateTransition:
@@ -147,7 +149,7 @@ std::optional<std::string> legacy_message(Component component,
                          " interruption_ms=", event.value);
 
     // Trace-only types: these subsystems never logged strings, so adding
-    // typed events for them must not change the EventLog view.
+    // typed events for them must not change the narrative.
     case TraceEventType::kRssSample:
     case TraceEventType::kSearchStart:
     case TraceEventType::kSearchDwell:
@@ -204,27 +206,81 @@ std::uint64_t TraceRecorder::total_dropped() const noexcept {
   return n;
 }
 
-void Emitter::emit(const TraceEvent& event) const {
-  if (recorder != nullptr) {
-    recorder->record(component, event);
-  }
-  if (log != nullptr) {
-    if (auto message = legacy_message(component, event)) {
-      log->record(event.t, to_string(component), *message);
+Narrative render_narrative(const TraceRecorder& recorder) {
+  struct Tagged {
+    Component component;
+    TraceEvent event;
+  };
+  std::vector<Tagged> all;
+  for (std::size_t i = 0; i < kComponentCount; ++i) {
+    const Component component = static_cast<Component>(i);
+    for (const TraceEvent& e : recorder.buffer(component).snapshot()) {
+      all.push_back({component, e});
     }
   }
+  std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
+    return a.event.seq < b.event.seq;
+  });
+
+  Narrative narrative;
+  narrative.dropped = recorder.total_dropped();
+  for (const Tagged& entry : all) {
+    if (auto message = legacy_message(entry.component, entry.event)) {
+      narrative.lines.push_back(
+          {entry.event.t, entry.component, std::move(*message)});
+    }
+  }
+  return narrative;
 }
 
-void Emitter::count(std::string_view name, std::uint64_t by) const {
-  if (counters != nullptr) {
-    counters->increment(name, by);
+namespace {
+
+// Indexed by ProtocolCounter; kept in name order (see the enum).
+constexpr std::array<std::string_view, kProtocolCounterCount> kCounterNames = {
+    "bs_switch_requests",
+    "bs_switches",
+    "fallback_searches",
+    "handover_complete",
+    "handover_failed",
+    "initial_search_hits",
+    "initial_search_misses",
+    "neighbour_abandoned",
+    "neighbour_crossovers",
+    "neighbour_drop_events",
+    "neighbour_recovery_sweeps",
+    "neighbour_rx_switches",
+    "neighbour_slots_preempted",
+    "neighbour_tx_retargets",
+    "policy_no_eligible_candidate",
+    "policy_selection_diverted",
+    "probe_refine_rounds",
+    "rach_failures",
+    "reactive_search_rounds",
+    "rival_slots_preempted",
+    "serving_drop_events",
+    "serving_lost",
+    "serving_rx_switches",
+    "serving_unreachable",
+};
+static_assert(static_cast<std::size_t>(ProtocolCounter::kServingUnreachable) +
+                  1 ==
+              kProtocolCounterCount);
+
+}  // namespace
+
+std::string_view to_string(ProtocolCounter counter) noexcept {
+  return kCounterNames[static_cast<std::size_t>(counter)];
+}
+
+std::vector<std::pair<std::string_view, std::uint64_t>>
+ProtocolCounters::nonzero() const {
+  std::vector<std::pair<std::string_view, std::uint64_t>> out;
+  for (std::size_t i = 0; i < kProtocolCounterCount; ++i) {
+    if (values[i] != 0) {
+      out.emplace_back(kCounterNames[i], values[i]);
+    }
   }
-  if (recorder != nullptr) {
-    std::string qualified(to_string(component));
-    qualified += '.';
-    qualified += name;
-    recorder->metrics().counter(qualified).increment(by);
-  }
+  return out;
 }
 
 }  // namespace st::obs

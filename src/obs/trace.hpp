@@ -1,37 +1,36 @@
 // Structured trace layer: typed protocol events in bounded per-component
-// ring buffers, with nanosecond sim timestamps.
+// ring buffers, with nanosecond sim timestamps, plus the fixed set of
+// protocol counters.
 //
-// The protocols used to narrate themselves as free-form strings into
-// sim::EventLog ("RX_SWITCH beam 3 -> 4 rss=-71.2"), which exporters and
-// reports would have had to re-parse. A TraceEvent instead carries the
-// *fields* (type, cell, beams, values); the exact legacy strings are
-// derived from them by legacy_message(), so the EventLog view — which
-// tests and examples assert on — is byte-identical to what the call
-// sites used to produce, while trace.json / JSONL / RunReport consume
-// the typed form directly.
+// A TraceEvent carries the *fields* of a protocol event (type, cell,
+// beams, values) rather than a formatted string, so exporters and reports
+// consume it directly. The human-readable story of a run — the lines the
+// protocols historically narrated ("RX_SWITCH beam 3 -> 4 rss=-71.2") —
+// is rendered on demand from the recorded events by render_narrative(),
+// through legacy_message(), which reproduces the historical strings byte
+// for byte.
 //
-// Recording is wired through an Emitter per protocol instance: a small
-// value object holding the component tag plus three optional sinks
-// (TraceRecorder for typed events and metrics, EventLog + CounterSet for
-// the legacy view). With all sinks null — the default — emit() is a few
-// pointer tests and events are composed but discarded, which is what
-// keeps the disabled-by-default telemetry off the bench fast path.
+// Recording is wired through an Emitter per protocol instance: the
+// component tag plus two optional, non-owned sinks (a TraceRecorder for
+// typed events, a ProtocolCounters array for event counts). With both
+// sinks null — the default — emit() and count() are a pointer test each.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sim/metrics.hpp"
 #include "sim/time.hpp"
 
 namespace st::obs {
 
 /// Who recorded an event; doubles as the track index in the Perfetto
-/// export and the tag of the legacy EventLog view.
+/// export and the tag of a narrative line.
 enum class Component : std::uint8_t {
   kSilentTracker = 0,
   kBeamSurfer,
@@ -91,6 +90,10 @@ struct TraceEvent {
   double value2 = 0.0;
   bool flag = false;
   std::string_view label{};
+  /// Recording order across all components of one TraceRecorder, stamped
+  /// by TraceRecorder::record (callers leave it 0). Equal-time events of
+  /// different components keep their causal order through it.
+  std::uint64_t seq = 0;
 };
 
 /// Render the exact string the pre-trace call site logged for this event,
@@ -137,7 +140,8 @@ class TraceRecorder {
  public:
   explicit TraceRecorder(TraceConfig config = {});
 
-  void record(Component component, const TraceEvent& event) {
+  void record(Component component, TraceEvent event) {
+    event.seq = next_seq_++;
     buffers_[component_index(component)].push(event);
   }
 
@@ -155,27 +159,111 @@ class TraceRecorder {
  private:
   std::vector<TraceBuffer> buffers_;  // indexed by component_index()
   MetricRegistry metrics_;
+  std::uint64_t next_seq_ = 0;
 };
 
-/// Per-protocol fan-out point: typed events to the TraceRecorder, the
-/// derived legacy strings to the EventLog, counters to both sinks. All
-/// sinks optional and non-owned.
+/// One line of a run's story: the legacy string of a typed event, with
+/// the time and component that recorded it.
+struct NarrativeLine {
+  sim::Time t{};
+  Component component = Component::kScenario;
+  std::string message;
+};
+
+struct Narrative {
+  /// Every retained event that has a legacy line, in recording order.
+  std::vector<NarrativeLine> lines;
+  /// Events the rings overwrote before rendering (TraceRecorder::
+  /// total_dropped). Non-zero means the story has gaps: the earliest
+  /// events of an overflowed component are missing.
+  std::uint64_t dropped = 0;
+};
+
+/// Render the run's story from the recorder: legacy_message() of every
+/// retained event, merged across components by recording order (not by
+/// time then component: at equal timestamps the component that acted
+/// first comes first).
+[[nodiscard]] Narrative render_narrative(const TraceRecorder& recorder);
+
+/// The protocols' event counters, ordered by name so that iterating the
+/// enum reproduces a name-sorted listing.
+enum class ProtocolCounter : std::uint8_t {
+  kBsSwitchRequests = 0,
+  kBsSwitches,
+  kFallbackSearches,
+  kHandoverComplete,
+  kHandoverFailed,
+  kInitialSearchHits,
+  kInitialSearchMisses,
+  kNeighbourAbandoned,
+  kNeighbourCrossovers,
+  kNeighbourDropEvents,
+  kNeighbourRecoverySweeps,
+  kNeighbourRxSwitches,
+  kNeighbourSlotsPreempted,
+  kNeighbourTxRetargets,
+  kPolicyNoEligibleCandidate,
+  kPolicySelectionDiverted,
+  kProbeRefineRounds,
+  kRachFailures,
+  kReactiveSearchRounds,
+  kRivalSlotsPreempted,
+  kServingDropEvents,
+  kServingLost,
+  kServingRxSwitches,
+  kServingUnreachable,
+};
+
+inline constexpr std::size_t kProtocolCounterCount = 24;
+
+/// Report name: "bs_switch_requests", "bs_switches", ...
+[[nodiscard]] std::string_view to_string(ProtocolCounter counter) noexcept;
+
+/// One run's protocol counters: a fixed array indexed by ProtocolCounter.
+struct ProtocolCounters {
+  std::array<std::uint64_t, kProtocolCounterCount> values{};
+
+  [[nodiscard]] std::uint64_t& operator[](ProtocolCounter c) noexcept {
+    return values[static_cast<std::size_t>(c)];
+  }
+  [[nodiscard]] std::uint64_t operator[](ProtocolCounter c) const noexcept {
+    return values[static_cast<std::size_t>(c)];
+  }
+  friend bool operator==(const ProtocolCounters&,
+                         const ProtocolCounters&) = default;
+
+  /// (name, value) of every counter that fired, in name order.
+  [[nodiscard]] std::vector<std::pair<std::string_view, std::uint64_t>>
+  nonzero() const;
+};
+
+/// Where a protocol instance records. Both sinks optional and non-owned.
+struct Sinks {
+  TraceRecorder* trace = nullptr;
+  ProtocolCounters* counters = nullptr;
+};
+
+/// Per-protocol recording point: typed events to the trace, counts to
+/// the counter array.
 struct Emitter {
   Component component = Component::kScenario;
-  TraceRecorder* recorder = nullptr;
-  sim::EventLog* log = nullptr;
-  sim::CounterSet* counters = nullptr;
+  Sinks sinks{};
 
-  [[nodiscard]] bool tracing() const noexcept { return recorder != nullptr; }
-  [[nodiscard]] bool active() const noexcept {
-    return recorder != nullptr || log != nullptr;
+  [[nodiscard]] bool tracing() const noexcept {
+    return sinks.trace != nullptr;
   }
 
-  void emit(const TraceEvent& event) const;
+  void emit(const TraceEvent& event) const {
+    if (sinks.trace != nullptr) {
+      sinks.trace->record(component, event);
+    }
+  }
 
-  /// Bump the legacy counter `name` and the registry counter
-  /// "<component>.<name>".
-  void count(std::string_view name, std::uint64_t by = 1) const;
+  void count(ProtocolCounter counter, std::uint64_t by = 1) const noexcept {
+    if (sinks.counters != nullptr) {
+      (*sinks.counters)[counter] += by;
+    }
+  }
 };
 
 }  // namespace st::obs

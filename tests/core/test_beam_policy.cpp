@@ -8,33 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "core/scenario_spec.hpp"
+#include "support/run_fingerprint.hpp"
 
 namespace st::core {
 namespace {
 
 using namespace st::sim::literals;
 
-std::string fingerprint(const ScenarioResult& r) {
-  std::ostringstream oss;
-  for (const auto& e : r.log.entries()) {
-    oss << e.t.ns() << '|' << e.component << '|' << e.message << '\n';
-  }
-  for (const auto& [name, value] : r.counters.all()) {
-    oss << name << '=' << value << '\n';
-  }
-  for (const auto& h : r.handovers) {
-    oss << h.from << "->" << h.to << '@' << h.completed.ns() << ' '
-        << h.success << h.rach_attempts << '\n';
-  }
-  oss << r.alignment_gap_db.csv();
-  oss << r.serving_snr_db.csv();
-  return oss.str();
-}
+using test::fingerprint;
 
 BeamProbeContext context(const phy::Codebook& codebook, phy::BeamId current,
                          int trend, bool lost = false) {
@@ -76,8 +61,7 @@ TEST(SilentTrackerPolicy, ProbesTrendNeighbourPlusCurrent) {
 
 TEST(SilentTrackerPolicy, FullSweepVariantProbesWholeCodebook) {
   const phy::Codebook codebook = make_ue_codebook(20.0);
-  const auto policy =
-      make_beam_policy(BeamPolicyConfig{}, /*full_sweep=*/true);
+  const auto policy = make_beam_policy({.kind = BeamPolicyKind::kFullSweep});
   EXPECT_EQ(policy->name(), "silent_tracker_full_sweep");
   const phy::BeamId current = 3;
   std::vector<phy::BeamId> probes;
@@ -183,8 +167,16 @@ TEST(BlindPolicy, NeverReprobesTheCurrentBeam) {
 
 TEST(BeamPolicyKindNames, RoundTripThroughToString) {
   EXPECT_EQ(to_string(BeamPolicyKind::kSilentTracker), "silent_tracker");
+  EXPECT_EQ(to_string(BeamPolicyKind::kFullSweep),
+            "silent_tracker_full_sweep");
   EXPECT_EQ(to_string(BeamPolicyKind::kHierarchical), "hierarchical");
   EXPECT_EQ(to_string(BeamPolicyKind::kBlind), "blind");
+  // Each kind's policy reports the same name its spec and report use.
+  for (const BeamPolicyKind kind :
+       {BeamPolicyKind::kSilentTracker, BeamPolicyKind::kFullSweep,
+        BeamPolicyKind::kHierarchical, BeamPolicyKind::kBlind}) {
+    EXPECT_EQ(make_beam_policy({.kind = kind})->name(), to_string(kind));
+  }
 }
 
 // ---- scenario integration -------------------------------------------------
@@ -195,6 +187,7 @@ TEST(BeamPolicyScenario, ExplicitSilentTrackerMatchesDefaultBitForBit) {
   // and all.
   ScenarioSpec base = preset::paper_walk();
   base.duration = 6'000_ms;
+  base.collect_trace = true;
 
   ScenarioSpec with_policy = base;
   for (UeProfile& ue : with_policy.ues) {
@@ -229,6 +222,7 @@ TEST_P(PolicyRuns, EveryPolicyDrivesTheScenarioToCompletion) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyRuns,
                          ::testing::Values(BeamPolicyKind::kSilentTracker,
+                                           BeamPolicyKind::kFullSweep,
                                            BeamPolicyKind::kHierarchical,
                                            BeamPolicyKind::kBlind),
                          [](const auto& param_info) {
@@ -244,7 +238,7 @@ TEST(BeamPolicyScenario, HierarchicalFillsRefineRounds) {
     ue.beam_policy.kind = BeamPolicyKind::kHierarchical;
   }
   const ScenarioResult result = run_scenario(spec);
-  EXPECT_GT(result.counters.value("probe_refine_rounds"), 0U);
+  EXPECT_GT(result.counters[obs::ProtocolCounter::kProbeRefineRounds], 0U);
 }
 
 }  // namespace

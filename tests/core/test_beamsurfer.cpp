@@ -22,14 +22,13 @@ struct SurferWorld {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
     surfer = std::make_unique<BeamSurfer>(sim, env, 0, config);
-    surfer->set_recorders(&log, &counters);
+    surfer->set_sinks({.counters = &counters});
     surfer->start(best.rx_beam, best.rx_power_dbm);
   }
 
   sim::Simulator sim;
   net::RadioEnvironment env;
-  sim::EventLog log;
-  sim::CounterSet counters;
+  obs::ProtocolCounters counters;
   std::unique_ptr<BeamSurfer> surfer;
 };
 
@@ -37,9 +36,9 @@ TEST(BeamSurfer, SteadyStateNoSwitchesOnStaticLink) {
   SurferWorld world(test::standing_at({5.0, 10.0, 0.0}));
   world.start();
   world.sim.run_until(Time::zero() + 5000_ms);
-  EXPECT_EQ(world.counters.value("serving_rx_switches"), 0U);
-  EXPECT_EQ(world.counters.value("bs_switches"), 0U);
-  EXPECT_EQ(world.counters.value("serving_drop_events"), 0U);
+  EXPECT_EQ(world.counters[obs::ProtocolCounter::kServingRxSwitches], 0U);
+  EXPECT_EQ(world.counters[obs::ProtocolCounter::kBsSwitches], 0U);
+  EXPECT_EQ(world.counters[obs::ProtocolCounter::kServingDropEvents], 0U);
 }
 
 TEST(BeamSurfer, FilteredRssTracksTruth) {
@@ -63,7 +62,7 @@ TEST(BeamSurfer, WalkTriggersRxSwitchesThatKeepAlignment) {
   world.start();
   world.sim.run_until(Time::zero() + 15'000_ms);
 
-  EXPECT_GT(world.counters.value("serving_rx_switches"), 2U);
+  EXPECT_GT(world.counters[obs::ProtocolCounter::kServingRxSwitches], 2U);
   // At the end, the tracked beam is within 3 dB of the best receive beam.
   const auto tx = world.env.bs(0).serving_tx_beam();
   const auto best = world.env.ground_truth_best_rx(0, tx, world.sim.now());
@@ -83,9 +82,9 @@ TEST(BeamSurfer, RotationHandledByRxSwitchesOnly) {
   world.start();
   const auto tx_before = world.env.bs(0).serving_tx_beam();
   world.sim.run_until(Time::zero() + 6000_ms);  // two full revolutions
-  EXPECT_GT(world.counters.value("serving_rx_switches"), 10U);
+  EXPECT_GT(world.counters[obs::ProtocolCounter::kServingRxSwitches], 10U);
   EXPECT_EQ(world.env.bs(0).serving_tx_beam(), tx_before);
-  EXPECT_EQ(world.counters.value("bs_switches"), 0U);
+  EXPECT_EQ(world.counters[obs::ProtocolCounter::kBsSwitches], 0U);
 }
 
 TEST(BeamSurfer, BsSwitchRequestedWhenRxAdaptationInsufficient) {
@@ -100,7 +99,7 @@ TEST(BeamSurfer, BsSwitchRequestedWhenRxAdaptationInsufficient) {
   SurferWorld world(std::make_shared<mobility::LinearWalk>(walk, 30_s, 3));
   world.start();
   world.sim.run_until(Time::zero() + 12'000_ms);
-  EXPECT_GT(world.counters.value("bs_switches"), 0U);
+  EXPECT_GT(world.counters[obs::ProtocolCounter::kBsSwitches], 0U);
   // And the serving TX beam ends up the true best (or adjacent to it).
   const auto best = world.env.ground_truth_best_pair(0, world.sim.now());
   const auto serving = world.env.bs(0).serving_tx_beam();

@@ -34,15 +34,14 @@ struct ReactiveWorld {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
     proto = std::make_unique<ReactiveHandover>(sim, env, config);
-    proto->set_recorders(&log, &counters);
+    proto->set_sinks({.counters = &counters});
     proto->start(0, best.rx_beam, best.rx_power_dbm,
                  [this](const net::HandoverRecord& r) { record = r; });
   }
 
   sim::Simulator sim;
   net::RadioEnvironment env;
-  sim::EventLog log;
-  sim::CounterSet counters;
+  obs::ProtocolCounters counters;
   std::unique_ptr<ReactiveHandover> proto;
   std::optional<net::HandoverRecord> record;
 };

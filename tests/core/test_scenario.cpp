@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scenario_spec.hpp"
+#include "support/run_fingerprint.hpp"
 
 namespace st::core {
 namespace {
@@ -38,7 +39,7 @@ TEST(Scenario, MobilityFactoryMatchesScenario) {
 TEST(Scenario, RunProducesMetrics) {
   const ScenarioResult r = run_scenario(quick_spec());
   EXPECT_FALSE(r.serving_snr_db.empty());
-  EXPECT_FALSE(r.log.entries().empty());
+  EXPECT_FALSE(r.counters.nonzero().empty());
   // Tracking metrics appear once a neighbour was found.
   EXPECT_FALSE(r.alignment_gap_db.empty());
   EXPECT_EQ(r.alignment_gap_db.size(), r.neighbour_tracked_rss_dbm.size());
@@ -57,27 +58,28 @@ TEST(Scenario, AlignmentGapIsBestMinusTracked) {
 }
 
 TEST(Scenario, DeterministicForSameSeed) {
-  const ScenarioResult a = run_scenario(quick_spec());
-  const ScenarioResult b = run_scenario(quick_spec());
+  const ScenarioSpec spec = SpecBuilder(quick_spec()).collect_trace().build();
+  const ScenarioResult a = run_scenario(spec);
+  const ScenarioResult b = run_scenario(spec);
   ASSERT_EQ(a.handovers.size(), b.handovers.size());
   for (std::size_t i = 0; i < a.handovers.size(); ++i) {
     EXPECT_EQ(a.handovers[i].completed.ns(), b.handovers[i].completed.ns());
     EXPECT_EQ(a.handovers[i].final_rx_beam, b.handovers[i].final_rx_beam);
   }
-  ASSERT_EQ(a.log.entries().size(), b.log.entries().size());
-  EXPECT_EQ(a.counters.all(), b.counters.all());
+  EXPECT_EQ(test::fingerprint(a), test::fingerprint(b));
 }
 
 TEST(Scenario, DifferentSeedsDiffer) {
-  const ScenarioResult a = run_scenario(quick_spec());
-  const ScenarioResult b =
-      run_scenario(SpecBuilder(quick_spec()).seed(8).build());
+  const ScenarioSpec spec = SpecBuilder(quick_spec()).collect_trace().build();
+  const ScenarioResult a = run_scenario(spec);
+  const ScenarioResult b = run_scenario(SpecBuilder(spec).seed(8).build());
   // Some observable must differ (channel realisation changed).
   const bool same_handovers =
       a.handovers.size() == b.handovers.size() &&
       (a.handovers.empty() ||
        a.handovers[0].completed.ns() == b.handovers[0].completed.ns());
-  const bool same_logs = a.log.entries().size() == b.log.entries().size();
+  const bool same_logs = obs::render_narrative(*a.trace).lines.size() ==
+                         obs::render_narrative(*b.trace).lines.size();
   EXPECT_FALSE(same_handovers && same_logs);
 }
 
@@ -151,7 +153,7 @@ TEST(Scenario, UlaCodebookFlagChangesCodebook) {
   const ScenarioSpec spec =
       SpecBuilder().duration(10'000_ms).seed(7).ue(profile).build();
   const ScenarioResult r = run_scenario(spec);
-  EXPECT_FALSE(r.log.entries().empty());
+  EXPECT_FALSE(r.counters.nonzero().empty());
 }
 
 TEST(Scenario, AlignmentUntilFirstHandoverStopsAtCompletion) {
@@ -186,15 +188,21 @@ TEST(Scenario, RotationDeploymentScaleChangesRealisation) {
   // The rotation preset encodes its tighter geometry explicitly in the
   // spec's deployment; a different inter-site distance must change the
   // realisation.
-  const ScenarioSpec a =
-      SpecBuilder(preset::paper_rotation()).duration(10'000_ms).seed(7).build();
+  const ScenarioSpec a = SpecBuilder(preset::paper_rotation())
+                             .duration(10'000_ms)
+                             .seed(7)
+                             .collect_trace()
+                             .build();
   net::DeploymentConfig tighter = a.deployment;
   tighter.inter_site_m = 30.0;
   const ScenarioSpec b = SpecBuilder(a).deployment(tighter).build();
   const ScenarioResult ra = run_scenario(a);
   const ScenarioResult rb = run_scenario(b);
-  EXPECT_NE(ra.log.entries().size() + ra.counters.all().size() * 1000,
-            rb.log.entries().size() + rb.counters.all().size() * 1000);
+  const auto shape = [](const ScenarioResult& r) {
+    return obs::render_narrative(*r.trace).lines.size() +
+           r.counters.nonzero().size() * 1000;
+  };
+  EXPECT_NE(shape(ra), shape(rb));
 }
 
 TEST(Scenario, OmniConfigurationRuns) {
@@ -203,7 +211,7 @@ TEST(Scenario, OmniConfigurationRuns) {
   const ScenarioSpec spec =
       SpecBuilder().duration(10'000_ms).seed(7).ue(profile).build();
   const ScenarioResult r = run_scenario(spec);
-  EXPECT_FALSE(r.log.entries().empty());
+  EXPECT_FALSE(r.counters.nonzero().empty());
 }
 
 TEST(Scenario, VehicularThreeCellsChainsHandovers) {
@@ -270,25 +278,21 @@ TEST(Scenario, TraceBufferCapacityIsRespected) {
 
 TEST(Scenario, TracingDoesNotPerturbTheRun) {
   // The observability layer must be read-only with respect to protocol
-  // behaviour: same seed with and without tracing gives byte-identical
-  // logs, counters, and handover outcomes.
+  // behaviour: same seed with and without tracing gives identical
+  // counters, handover outcomes and ground-truth series.
   const ScenarioResult a = run_scenario(quick_spec());
   const ScenarioResult b =
       run_scenario(SpecBuilder(quick_spec()).collect_trace().build());
 
-  EXPECT_EQ(a.counters.all(), b.counters.all());
+  EXPECT_EQ(a.counters, b.counters);
   ASSERT_EQ(a.handovers.size(), b.handovers.size());
   for (std::size_t i = 0; i < a.handovers.size(); ++i) {
     EXPECT_EQ(a.handovers[i].completed.ns(), b.handovers[i].completed.ns());
     EXPECT_EQ(a.handovers[i].to, b.handovers[i].to);
     EXPECT_EQ(a.handovers[i].final_rx_beam, b.handovers[i].final_rx_beam);
   }
-  ASSERT_EQ(a.log.entries().size(), b.log.entries().size());
-  for (std::size_t i = 0; i < a.log.entries().size(); ++i) {
-    EXPECT_EQ(a.log.entries()[i].t, b.log.entries()[i].t);
-    EXPECT_EQ(a.log.entries()[i].component, b.log.entries()[i].component);
-    EXPECT_EQ(a.log.entries()[i].message, b.log.entries()[i].message);
-  }
+  EXPECT_EQ(a.alignment_gap_db.csv(), b.alignment_gap_db.csv());
+  EXPECT_EQ(a.serving_snr_db.csv(), b.serving_snr_db.csv());
 }
 
 TEST(Scenario, BuildRunReportEchoesScenarioAndResults) {
@@ -308,13 +312,33 @@ TEST(Scenario, BuildRunReportEchoesScenarioAndResults) {
   EXPECT_EQ(report.snapshot_cache.hits, r.snapshot_cache.hits);
   EXPECT_DOUBLE_EQ(report.snapshot_cache.hit_rate,
                    r.snapshot_cache.hit_rate());
-  EXPECT_EQ(report.counters.size(), r.counters.all().size());
+  EXPECT_EQ(report.counters.size(), r.counters.nonzero().size());
   EXPECT_EQ(report.trace_events, r.trace->total_events());
   // The engine dispatch digest always exists when tracing was on.
   EXPECT_GT(report.latencies.count("engine.dispatch_us"), 0u);
   // And the JSON document serialises without blowing up.
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"schema\""), std::string::npos);
+}
+
+TEST(Scenario, RunReportCountersAreTheNonZeroEntriesByName) {
+  // Every counter reaches the report under its name with its value, and
+  // a counter that never fired is absent (the JSON lists what fired).
+  ScenarioResult r;
+  for (std::size_t i = 0; i < obs::kProtocolCounterCount; i += 2) {
+    r.counters.values[i] = 100 + i;
+  }
+  const obs::RunReport report = build_run_report(quick_spec(), r);
+  EXPECT_EQ(report.counters.size(), (obs::kProtocolCounterCount + 1) / 2);
+  for (std::size_t i = 0; i < obs::kProtocolCounterCount; ++i) {
+    const std::string name(to_string(static_cast<obs::ProtocolCounter>(i)));
+    if (i % 2 == 0) {
+      ASSERT_EQ(report.counters.count(name), 1u) << name;
+      EXPECT_EQ(report.counters.at(name), 100 + i) << name;
+    } else {
+      EXPECT_EQ(report.counters.count(name), 0u) << name;
+    }
+  }
 }
 
 TEST(Scenario, BuildRunReportWithoutTraceOmitsTraceSections) {

@@ -9,32 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/scenario.hpp"
+#include "support/run_fingerprint.hpp"
 
 namespace st::core {
 namespace {
 
 using namespace st::sim::literals;
 
-std::string fingerprint(const ScenarioResult& r) {
-  std::ostringstream oss;
-  for (const auto& e : r.log.entries()) {
-    oss << e.t.ns() << '|' << e.component << '|' << e.message << '\n';
-  }
-  for (const auto& [name, value] : r.counters.all()) {
-    oss << name << '=' << value << '\n';
-  }
-  for (const auto& h : r.handovers) {
-    oss << h.from << "->" << h.to << '@' << h.completed.ns() << ' '
-        << h.success << h.rach_attempts << '\n';
-  }
-  oss << r.alignment_gap_db.csv();
-  oss << r.serving_snr_db.csv();
-  return oss.str();
-}
+using test::fingerprint;
 
 // ---- fleet_ue_seed --------------------------------------------------------
 
@@ -76,9 +61,13 @@ TEST_P(PresetEquivalence, SingleUePresetMatchesLegacyConfigBitForBit) {
   legacy.n_cells = mobility == MobilityScenario::kVehicular ? 3U : 2U;
   legacy.duration = 8'000_ms;
   legacy.seed = 1000;
+  legacy.collect_trace = true;
 
-  const ScenarioSpec spec =
-      SpecBuilder(preset::paper(mobility)).duration(8'000_ms).seed(1000).build();
+  const ScenarioSpec spec = SpecBuilder(preset::paper(mobility))
+                                .duration(8'000_ms)
+                                .seed(1000)
+                                .collect_trace()
+                                .build();
   ASSERT_EQ(spec.ue_count(), 1u);
 
   EXPECT_EQ(fingerprint(run_scenario(legacy)), fingerprint(run_scenario(spec)));
@@ -120,6 +109,7 @@ TEST(ScenarioSpecFleet, UeRealisationIsIdenticalAloneAndInAFleet) {
                            .seed(424242)
                            .ue(preset::walking_ue())
                            .ue(preset::rotating_ue())
+                           .collect_trace()
                            .build();
   ASSERT_EQ(fleet.ue_count(), 3u);
 
@@ -185,6 +175,7 @@ TEST(ScenarioConfigAdapter, ToSpecReproducesLegacySemantics) {
   config.duration = 6'000_ms;
   config.seed = 99;
   config.ue_beamwidth_deg = 60.0;
+  config.collect_trace = true;
   const ScenarioSpec spec = to_spec(config);
   ASSERT_EQ(spec.ue_count(), 1u);
   EXPECT_EQ(spec.seed, 99u);

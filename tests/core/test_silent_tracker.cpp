@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string_view>
 
 #include "mobility/walk.hpp"
 #include "net/test_helpers.hpp"
@@ -34,19 +35,35 @@ struct TrackerWorld {
         walk, sim::Duration::milliseconds(120'000), 9);
   }
 
-  void start(SilentTrackerConfig config = {}) {
+  void start(SilentTrackerConfig config = {},
+             BeamPolicyKind policy_kind = BeamPolicyKind::kSilentTracker) {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
-    tracker = std::make_unique<SilentTracker>(sim, env, config);
-    tracker->set_recorders(&log, &counters);
+    policy = make_beam_policy({.kind = policy_kind});
+    tracker = std::make_unique<SilentTracker>(sim, env, config, *policy);
+    tracker->set_sinks({.trace = &trace, .counters = &counters});
     tracker->start(0, best.rx_beam, best.rx_power_dbm,
                    [this](const net::HandoverRecord& r) { record = r; });
   }
 
+  /// Time of the first SilentTracker event of `type` (and `label`, when
+  /// given), if any.
+  [[nodiscard]] std::optional<Time> first_time_of(
+      obs::TraceEventType type, std::string_view label = {}) const {
+    for (const obs::TraceEvent& e :
+         trace.buffer(obs::Component::kSilentTracker).snapshot()) {
+      if (e.type == type && (label.empty() || e.label == label)) {
+        return e.t;
+      }
+    }
+    return std::nullopt;
+  }
+
   sim::Simulator sim;
   net::RadioEnvironment env;
-  sim::EventLog log;
-  sim::CounterSet counters;
+  obs::TraceRecorder trace;
+  obs::ProtocolCounters counters;
+  std::unique_ptr<BeamPolicy> policy;
   std::unique_ptr<SilentTracker> tracker;
   std::optional<net::HandoverRecord> record;
 };
@@ -70,17 +87,18 @@ TEST(SilentTracker, EventOrderIsSearchFoundTrackAccessComplete) {
   world.sim.run_until(Time::zero() + 60'000_ms);
   ASSERT_TRUE(world.record.has_value());
 
-  Time t_found{};
-  Time t_lost{};
-  Time t_access{};
-  Time t_complete{};
-  ASSERT_TRUE(world.log.first_time_of("FOUND", t_found));
-  ASSERT_TRUE(world.log.first_time_of("SERVING_LOST", t_lost));
-  ASSERT_TRUE(world.log.first_time_of("STATE Accessing", t_access));
-  ASSERT_TRUE(world.log.first_time_of("HO_COMPLETE", t_complete));
-  EXPECT_LT(t_found, t_lost);   // neighbour discovered BEFORE serving died
-  EXPECT_LE(t_lost, t_access);
-  EXPECT_LT(t_access, t_complete);
+  using Type = obs::TraceEventType;
+  const std::optional<Time> t_found = world.first_time_of(Type::kCellFound);
+  const std::optional<Time> t_lost = world.first_time_of(Type::kServingLost);
+  const std::optional<Time> t_access =
+      world.first_time_of(Type::kStateTransition, "Accessing");
+  const std::optional<Time> t_complete =
+      world.first_time_of(Type::kHandoverComplete);
+  ASSERT_TRUE(t_found && t_lost && t_access && t_complete);
+  EXPECT_LT(*t_found, *t_lost);  // neighbour discovered BEFORE serving died
+  EXPECT_LE(*t_lost, *t_access);
+  EXPECT_LT(*t_access, *t_complete);
+  EXPECT_EQ(world.counters[obs::ProtocolCounter::kHandoverComplete], 1U);
 }
 
 TEST(SilentTracker, SoftHandoverInterruptionIsShort) {
@@ -163,9 +181,7 @@ TEST(SilentTracker, StateAccessorsDuringTracking) {
 
 TEST(SilentTracker, FullSweepPolicyAlsoCompletes) {
   TrackerWorld world;
-  SilentTrackerConfig config;
-  config.probe_policy = ProbePolicy::kFullSweep;
-  world.start(config);
+  world.start({}, BeamPolicyKind::kFullSweep);
   world.sim.run_until(Time::zero() + 60'000_ms);
   ASSERT_TRUE(world.record.has_value());
   EXPECT_TRUE(world.record->success);
@@ -191,15 +207,16 @@ TEST(SilentTracker, RequiresTwoCells) {
                             std::move(d.base_stations),
                             test::standing_at({5.0, 10.0, 0.0}),
                             phy::Codebook::omni());
-  EXPECT_THROW(SilentTracker(sim, env, SilentTrackerConfig{}),
+  const auto policy = make_beam_policy({});
+  EXPECT_THROW(SilentTracker(sim, env, SilentTrackerConfig{}, *policy),
                std::invalid_argument);
 }
 
 TEST(SilentTracker, NullCallbackThrows) {
   TrackerWorld world;
-  world.tracker =
-      std::make_unique<SilentTracker>(world.sim, world.env,
-                                      SilentTrackerConfig{});
+  world.policy = make_beam_policy({});
+  world.tracker = std::make_unique<SilentTracker>(
+      world.sim, world.env, SilentTrackerConfig{}, *world.policy);
   EXPECT_THROW(world.tracker->start(0, 0, -60.0, nullptr),
                std::invalid_argument);
 }

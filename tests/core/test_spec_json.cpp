@@ -279,6 +279,15 @@ TEST(SpecJson, BeamPolicyOverridesApply) {
   })");
   EXPECT_EQ(blind.ues.front().beam_policy.kind,
             st::core::BeamPolicyKind::kBlind);
+
+  // The E6 full-sweep ablation is a policy kind like the others.
+  const ScenarioSpec full_sweep = from_text(R"({
+    "preset": "paper_walk",
+    "overrides": {"ue": {"beam_policy": {
+        "policy": "silent_tracker_full_sweep"}}}
+  })");
+  EXPECT_EQ(full_sweep.ues.front().beam_policy.kind,
+            st::core::BeamPolicyKind::kFullSweep);
 }
 
 TEST(SpecJson, BeamPolicyRejectsUnknownPolicyAndKeys) {

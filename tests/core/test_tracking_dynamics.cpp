@@ -63,13 +63,12 @@ TEST(BeamSurferDynamics, RotationNeverEscalatesToBsSwitch) {
   const auto best = env.ground_truth_best_pair(0, Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
   BeamSurfer surfer(sim, env, 0, BeamSurferConfig{});
-  sim::EventLog log;
-  sim::CounterSet counters;
-  surfer.set_recorders(&log, &counters);
+  obs::ProtocolCounters counters;
+  surfer.set_sinks({.counters = &counters});
   surfer.start(best.rx_beam, best.rx_power_dbm);
   sim.run_until(Time::zero() + 10'000_ms);
-  EXPECT_EQ(counters.value("bs_switches"), 0U);
-  EXPECT_GT(counters.value("serving_rx_switches"), 10U);
+  EXPECT_EQ(counters[obs::ProtocolCounter::kBsSwitches], 0U);
+  EXPECT_GT(counters[obs::ProtocolCounter::kServingRxSwitches], 10U);
 }
 
 /// Walking an arc around the base station changes the departure angle:
@@ -87,12 +86,12 @@ TEST(BeamSurferDynamics, ArcWalkMovesBsBeamTowardsTruth) {
   const auto best = env.ground_truth_best_pair(0, Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
   BeamSurfer surfer(sim, env, 0, BeamSurferConfig{});
-  sim::CounterSet counters;
-  surfer.set_recorders(nullptr, &counters);
+  obs::ProtocolCounters counters;
+  surfer.set_sinks({.counters = &counters});
   surfer.start(best.rx_beam, best.rx_power_dbm);
   sim.run_until(Time::zero() + 6000_ms);
 
-  EXPECT_GT(counters.value("bs_switches"), 0U);
+  EXPECT_GT(counters[obs::ProtocolCounter::kBsSwitches], 0U);
   const auto truth = env.ground_truth_best_pair(0, sim.now());
   const auto serving = env.bs(0).serving_tx_beam();
   const auto n = static_cast<phy::BeamId>(env.bs(0).codebook().size());
@@ -154,16 +153,17 @@ struct RotationTrackerWorld {
   void start() {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
-    tracker = std::make_unique<SilentTracker>(sim, env, SilentTrackerConfig{});
-    tracker->set_recorders(&log, &counters);
+    tracker = std::make_unique<SilentTracker>(sim, env, SilentTrackerConfig{},
+                                              *policy);
+    tracker->set_sinks({.counters = &counters});
     tracker->start(0, best.rx_beam, best.rx_power_dbm,
                    [this](const net::HandoverRecord& r) { record = r; });
   }
 
   sim::Simulator sim;
   net::RadioEnvironment env;
-  sim::EventLog log;
-  sim::CounterSet counters;
+  obs::ProtocolCounters counters;
+  std::unique_ptr<BeamPolicy> policy = make_beam_policy({});
   std::unique_ptr<SilentTracker> tracker;
   std::optional<net::HandoverRecord> record;
 };
@@ -174,8 +174,8 @@ TEST(SilentTrackerDynamics, SlowRotationTracksWithoutRecoverySweeps) {
   RotationTrackerWorld world(30.0, {20.0, 10.0, 0.0});
   world.start();
   world.sim.run_until(Time::zero() + 10'000_ms);
-  EXPECT_GT(world.counters.value("neighbour_rx_switches"), 3U);
-  EXPECT_EQ(world.counters.value("neighbour_recovery_sweeps"), 0U);
+  EXPECT_GT(world.counters[obs::ProtocolCounter::kNeighbourRxSwitches], 3U);
+  EXPECT_EQ(world.counters[obs::ProtocolCounter::kNeighbourRecoverySweeps], 0U);
 }
 
 TEST(SilentTrackerDynamics, RecoverySweepReacquiresAfterBeamLoss) {
@@ -185,13 +185,13 @@ TEST(SilentTrackerDynamics, RecoverySweepReacquiresAfterBeamLoss) {
   RotationTrackerWorld world(360.0, {20.0, 10.0, 0.0});
   world.start();
   world.sim.run_until(Time::zero() + 15'000_ms);
-  EXPECT_GT(world.counters.value("neighbour_recovery_sweeps"), 0U);
+  EXPECT_GT(world.counters[obs::ProtocolCounter::kNeighbourRecoverySweeps], 0U);
   // Reacquisitions show up as receive switches (often with large index
   // jumps) *after* sweeps: the tracker keeps functioning rather than
   // parking at the noise floor. (At 360 deg/s the handover itself may
   // still fail — random access cannot outrun that spin — which is a
   // legitimate outcome; the property under test is reacquisition.)
-  EXPECT_GT(world.counters.value("neighbour_rx_switches"), 3U);
+  EXPECT_GT(world.counters[obs::ProtocolCounter::kNeighbourRxSwitches], 3U);
 }
 
 TEST(SilentTrackerDynamics, TrendProbingFollowsSteadyRotation) {
@@ -242,7 +242,8 @@ TEST(SilentTrackerDynamics, ApproachBlindSpotBoundedByRecovery) {
       std::make_shared<mobility::LinearWalk>(walk, 60_s, 9));
   const auto best = env.ground_truth_best_pair(0, Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
-  SilentTracker tracker(sim, env, SilentTrackerConfig{});
+  const auto policy = make_beam_policy({});
+  SilentTracker tracker(sim, env, SilentTrackerConfig{}, *policy);
   std::optional<net::HandoverRecord> record;
   tracker.start(0, best.rx_beam, best.rx_power_dbm,
                 [&](const net::HandoverRecord& r) { record = r; });
@@ -291,10 +292,10 @@ TEST(SilentTrackerDynamics, AbandonsInaudibleNeighbourAndFindsBetter) {
   // Make abandonment observable within the run.
   SilentTrackerConfig config;
   config.neighbour_abandon_after = 1500_ms;
-  SilentTracker tracker(sim, env, config);
-  sim::EventLog log;
-  sim::CounterSet counters;
-  tracker.set_recorders(&log, &counters);
+  const auto policy = make_beam_policy({});
+  SilentTracker tracker(sim, env, config, *policy);
+  obs::ProtocolCounters counters;
+  tracker.set_sinks({.counters = &counters});
   std::optional<net::HandoverRecord> record;
   tracker.start(0, best.rx_beam, best.rx_power_dbm,
                 [&](const net::HandoverRecord& r) { record = r; });
@@ -319,15 +320,16 @@ TEST(SilentTrackerDynamics, NoAbandonmentWhileNeighbourAudible) {
       std::make_shared<mobility::LinearWalk>(walk, 60_s, 9));
   const auto best = env.ground_truth_best_pair(0, Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
-  SilentTracker tracker(sim, env, SilentTrackerConfig{});
-  sim::CounterSet counters;
-  tracker.set_recorders(nullptr, &counters);
+  const auto policy = make_beam_policy({});
+  SilentTracker tracker(sim, env, SilentTrackerConfig{}, *policy);
+  obs::ProtocolCounters counters;
+  tracker.set_sinks({.counters = &counters});
   std::optional<net::HandoverRecord> record;
   tracker.start(0, best.rx_beam, best.rx_power_dbm,
                 [&](const net::HandoverRecord& r) { record = r; });
   sim.run_until(Time::zero() + 20'000_ms);
-  EXPECT_EQ(counters.value("neighbour_abandoned"), 0U);
-  EXPECT_EQ(counters.value("initial_search_hits"), 1U);
+  EXPECT_EQ(counters[obs::ProtocolCounter::kNeighbourAbandoned], 0U);
+  EXPECT_EQ(counters[obs::ProtocolCounter::kInitialSearchHits], 1U);
 }
 
 }  // namespace

@@ -8,34 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "support/run_fingerprint.hpp"
 
 namespace st::fleet {
 namespace {
 
 using namespace st::sim::literals;
 
-std::string fingerprint(const core::ScenarioResult& r) {
-  std::ostringstream oss;
-  for (const auto& e : r.log.entries()) {
-    oss << e.t.ns() << '|' << e.component << '|' << e.message << '\n';
-  }
-  for (const auto& [name, value] : r.counters.all()) {
-    oss << name << '=' << value << '\n';
-  }
-  for (const auto& h : r.handovers) {
-    oss << h.from << "->" << h.to << '@' << h.completed.ns() << ' '
-        << h.success << h.rach_attempts << '\n';
-  }
-  oss << r.alignment_gap_db.csv();
-  oss << r.serving_snr_db.csv();
-  return oss.str();
-}
+using test::fingerprint;
 
 /// A heterogeneous fleet on the three-cell row (walk / rotation /
 /// vehicular profiles cycling), short enough for the test budget.
@@ -54,7 +39,8 @@ core::ScenarioSpec fleet_spec(std::size_t n_ues, sim::Duration duration) {
 TEST(FleetEngine, SerialAndParallelSchedulesAreBitIdentical) {
   // The acceptance bar: a 64-UE fleet, serial vs a real pool, every UE's
   // realisation compared bit for bit.
-  const core::ScenarioSpec spec = fleet_spec(64, 1'000_ms);
+  core::ScenarioSpec spec = fleet_spec(64, 1'000_ms);
+  spec.collect_trace = true;  // fingerprint the narrative too
   const FleetResult serial = run_fleet(spec, 1);
   const FleetResult parallel = run_fleet(spec, 4);
 
@@ -85,6 +71,7 @@ TEST(FleetEngine, GridFleetWithPolicyIsBitIdenticalToo) {
   core::ScenarioSpec spec = core::preset::grid_walk();
   spec.duration = 1'000_ms;
   spec.seed = 1000;
+  spec.collect_trace = true;
   spec.ues.assign(64, spec.ues.front());
   spec = core::SpecBuilder(std::move(spec)).build();
   const FleetResult serial = run_fleet(spec, 1);
@@ -149,6 +136,7 @@ TEST(FleetEngine, SingleUeFleetMatchesRunScenario) {
   core::ScenarioSpec spec = core::preset::paper_walk();
   spec.duration = 2'000_ms;
   spec.seed = 1000;
+  spec.collect_trace = true;
   const FleetResult fleet = run_fleet(spec);
   ASSERT_EQ(fleet.ue_count(), 1u);
   EXPECT_EQ(fingerprint(fleet.ue_results.front()),

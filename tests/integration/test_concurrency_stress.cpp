@@ -194,10 +194,10 @@ TEST(TraceBufferStress, PerThreadBuffersUnderConcurrentPushAndSnapshot) {
 }
 
 TEST(EmitterStress, ConcurrentEmittersFanOutToPrivateSinks) {
-  // One Emitter + full sink set per thread (recorder, legacy EventLog,
-  // CounterSet) emitting concurrently — the per-run fan-out the parallel
-  // batch runner executes, with the shared global Logger alive next to
-  // it.
+  // One Emitter + full sink set per thread (trace recorder, protocol
+  // counters) emitting concurrently and rendering its narrative — the
+  // per-run recording the parallel batch runner executes, with the shared
+  // global Logger alive next to it.
   constexpr int kThreads = 6;
   constexpr std::uint64_t kEvents = 5'000;
 
@@ -207,20 +207,22 @@ TEST(EmitterStress, ConcurrentEmittersFanOutToPrivateSinks) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&failures] {
       obs::TraceRecorder recorder({.buffer_capacity = 1 << 8});
-      sim::EventLog log;
-      sim::CounterSet counters;
-      obs::Emitter emit{obs::Component::kSilentTracker, &recorder, &log,
-                        &counters};
+      obs::ProtocolCounters counters;
+      const obs::Emitter emit{obs::Component::kSilentTracker,
+                              {.trace = &recorder, .counters = &counters}};
       for (std::uint64_t i = 0; i < kEvents; ++i) {
         emit.emit({.t = sim::Time::zero() +
                         sim::Duration::nanoseconds(
                             static_cast<std::int64_t>(i)),
                    .type = obs::TraceEventType::kStateTransition,
                    .label = "Tracking"});
-        emit.count("stress_events");
+        emit.count(obs::ProtocolCounter::kServingLost);
       }
+      const obs::Narrative narrative = obs::render_narrative(recorder);
       if (recorder.total_events() != kEvents ||
-          counters.value("stress_events") != kEvents) {
+          counters[obs::ProtocolCounter::kServingLost] != kEvents ||
+          narrative.lines.size() != (1U << 8) ||
+          narrative.dropped != kEvents - (1U << 8)) {
         failures.fetch_add(1, std::memory_order_relaxed);
       }
     });

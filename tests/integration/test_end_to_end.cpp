@@ -85,7 +85,7 @@ TEST(EndToEnd, RotationScenarioKeepsTracking) {
   // of the time up to the handover (Fig. 2c: rotation handled
   // successfully). Post-handover the tracker re-tracks whatever remains,
   // which the paper's criterion does not cover.
-  EXPECT_GT(r.counters.value("neighbour_rx_switches"), 5U);
+  EXPECT_GT(r.counters[obs::ProtocolCounter::kNeighbourRxSwitches], 5U);
   EXPECT_GT(r.alignment_until_first_handover(), 0.5);
 }
 
@@ -106,8 +106,8 @@ TEST(EndToEnd, DirectionalOutperformsOmniTracking) {
   const ScenarioResult rd = run_scenario(base_spec(7));
   const ScenarioResult ro = run_scenario(
       SpecBuilder().seed(7).duration(25'000_ms).ue(omni_ue).build());
-  EXPECT_GT(rd.counters.value("initial_search_hits"),
-            ro.counters.value("initial_search_hits"));
+  EXPECT_GT(rd.counters[obs::ProtocolCounter::kInitialSearchHits],
+            ro.counters[obs::ProtocolCounter::kInitialSearchHits]);
 }
 
 TEST(EndToEnd, GridWalkHandsOverInTheGrid) {
@@ -190,7 +190,7 @@ TEST(EndToEnd, LoadPenaltyDivertsSelectionInSystem) {
       spec = SpecBuilder(std::move(spec)).build();
       const ScenarioResult r = run_scenario(spec);
       (cell1_load > 0.0 ? diverted_loaded : diverted_idle) +=
-          r.counters.value("policy_selection_diverted");
+          r.counters[obs::ProtocolCounter::kPolicySelectionDiverted];
     }
   }
   EXPECT_GT(diverted_loaded, diverted_idle);

@@ -51,8 +51,8 @@ TEST_P(RunInvariants, HoldForEveryRun) {
   }
 
   // Completed handovers never exceed serving-loss events.
-  EXPECT_LE(r.counters.value("handover_complete"),
-            r.counters.value("serving_lost"));
+  EXPECT_LE(r.counters[obs::ProtocolCounter::kHandoverComplete],
+            r.counters[obs::ProtocolCounter::kServingLost]);
 
   // Metric series are time-ordered and within the run.
   const auto check_series = [&](const sim::TimeSeries& series) {

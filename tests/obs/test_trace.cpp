@@ -1,11 +1,14 @@
 // Trace layer: ring-buffer bounds, the legacy_message compatibility
-// contract (byte-identical strings to the pre-trace call sites), and the
-// Emitter fan-out to both the typed and the legacy sinks.
+// contract (byte-identical strings to the pre-trace call sites), the
+// narrative rendered from the typed events, the protocol counter names,
+// and the Emitter's two sinks.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
-#include "sim/metrics.hpp"
+#include <set>
+#include <string>
+
 #include "sim/time.hpp"
 
 namespace {
@@ -72,7 +75,7 @@ TEST(TraceRecorder, RoutesEventsToPerComponentBuffers) {
   EXPECT_EQ(recorder.total_dropped(), 0u);
 }
 
-TEST(TraceStrings, ComponentTagsMatchLegacyEventLogTags) {
+TEST(TraceStrings, ComponentTagsMatchLegacyNarrativeTags) {
   EXPECT_EQ(obs::to_string(Component::kSilentTracker), "silent_tracker");
   EXPECT_EQ(obs::to_string(Component::kBeamSurfer), "beamsurfer");
   EXPECT_EQ(obs::to_string(Component::kReactive), "reactive");
@@ -83,9 +86,9 @@ TEST(TraceStrings, ComponentTagsMatchLegacyEventLogTags) {
   EXPECT_EQ(obs::to_string(Component::kEngine), "engine");
 }
 
-// The legacy strings are load-bearing: integration tests and examples
-// assert on exact EventLog lines, so legacy_message must reproduce the
-// pre-trace call sites byte for byte.
+// The legacy strings are load-bearing: examples print them as the run's
+// narrative and determinism tests fingerprint them, so legacy_message must
+// reproduce the pre-trace call sites byte for byte.
 TEST(LegacyMessage, StateTransitionPlainAndAccessing) {
   TraceEvent plain{.type = TraceEventType::kStateTransition,
                    .label = "Tracking"};
@@ -209,17 +212,15 @@ TEST(LegacyMessage, TraceOnlyTypesHaveNoLegacyLine) {
 }
 
 TEST(Emitter, AllSinksNullIsANoOp) {
-  obs::Emitter emitter{Component::kBeamSurfer};
+  const obs::Emitter emitter{Component::kBeamSurfer};
   EXPECT_FALSE(emitter.tracing());
-  EXPECT_FALSE(emitter.active());
   emitter.emit({.t = at_ms(1), .type = TraceEventType::kRecoverySweep});
-  emitter.count("switches");  // must not crash
+  emitter.count(obs::ProtocolCounter::kBsSwitches);  // must not crash
 }
 
 TEST(Emitter, FansOutToRecorderAndLegacyLog) {
   obs::TraceRecorder recorder;
-  sim::EventLog log;
-  obs::Emitter emitter{Component::kBeamSurfer, &recorder, &log};
+  const obs::Emitter emitter{Component::kBeamSurfer, {.trace = &recorder}};
   EXPECT_TRUE(emitter.tracing());
 
   emitter.emit({.t = at_ms(5),
@@ -234,41 +235,136 @@ TEST(Emitter, FansOutToRecorderAndLegacyLog) {
   EXPECT_EQ(events[0].beam_a, 3);
   EXPECT_EQ(events[0].beam_b, 4);
 
-  ASSERT_EQ(log.entries().size(), 1u);
-  EXPECT_EQ(log.entries()[0].t, at_ms(5));
-  EXPECT_EQ(log.entries()[0].component, "beamsurfer");
-  EXPECT_EQ(log.entries()[0].message, "RX_SWITCH beam 3 -> 4 rss=-71.25");
+  // The legacy line is rendered from the typed event on demand.
+  const obs::Narrative narrative = obs::render_narrative(recorder);
+  ASSERT_EQ(narrative.lines.size(), 1u);
+  EXPECT_EQ(narrative.lines[0].t, at_ms(5));
+  EXPECT_EQ(narrative.lines[0].component, Component::kBeamSurfer);
+  EXPECT_EQ(narrative.lines[0].message, "RX_SWITCH beam 3 -> 4 rss=-71.25");
+  EXPECT_EQ(narrative.dropped, 0u);
 }
 
-TEST(Emitter, TraceOnlyEventDoesNotTouchTheEventLog) {
+TEST(Emitter, TraceOnlyEventHasNoNarrativeLine) {
   obs::TraceRecorder recorder;
-  sim::EventLog log;
-  obs::Emitter emitter{Component::kRach, &recorder, &log};
+  const obs::Emitter emitter{Component::kRach, {.trace = &recorder}};
   emitter.emit({.t = at_ms(1),
                 .type = TraceEventType::kRachAttempt,
                 .cell = 1,
                 .value = 1.0});
   EXPECT_EQ(recorder.buffer(Component::kRach).size(), 1u);
-  EXPECT_TRUE(log.entries().empty());
+  EXPECT_TRUE(obs::render_narrative(recorder).lines.empty());
 }
 
-TEST(Emitter, CountBumpsBothLegacyAndQualifiedRegistryCounter) {
+TEST(Emitter, CountBumpsTheCounterArrayNotTheRegistry) {
   obs::TraceRecorder recorder;
-  sim::CounterSet counters;
-  obs::Emitter emitter{Component::kSilentTracker, &recorder, nullptr,
-                       &counters};
-  emitter.count("rach_failures");
-  emitter.count("rach_failures", 2);
-  EXPECT_EQ(counters.value("rach_failures"), 3u);
-  EXPECT_EQ(recorder.metrics().counter_value("silent_tracker.rach_failures"),
-            3u);
+  obs::ProtocolCounters counters;
+  const obs::Emitter emitter{Component::kSilentTracker,
+                             {.trace = &recorder, .counters = &counters}};
+  emitter.count(obs::ProtocolCounter::kRachFailures);
+  emitter.count(obs::ProtocolCounter::kRachFailures, 2);
+  EXPECT_EQ(counters[obs::ProtocolCounter::kRachFailures], 3u);
+  EXPECT_TRUE(recorder.metrics().counters().empty());
+  // Every other counter is untouched.
+  EXPECT_EQ(counters.nonzero().size(), 1u);
 }
 
 TEST(Emitter, CountWithoutRecorderOnlyBumpsLegacyCounter) {
-  sim::CounterSet counters;
-  obs::Emitter emitter{Component::kBeamSurfer, nullptr, nullptr, &counters};
-  emitter.count("switches");
-  EXPECT_EQ(counters.value("switches"), 1u);
+  obs::ProtocolCounters counters;
+  const obs::Emitter emitter{Component::kBeamSurfer, {.counters = &counters}};
+  emitter.count(obs::ProtocolCounter::kServingRxSwitches);
+  EXPECT_EQ(counters[obs::ProtocolCounter::kServingRxSwitches], 1u);
+}
+
+// ---- narrative ------------------------------------------------------------
+
+TEST(Narrative, KeepsCrossComponentRecordingOrderAtEqualTimestamps) {
+  // The quickstart shape: at one instant BeamSurfer gives up on the
+  // serving cell, then SilentTracker reacts. SilentTracker has the lower
+  // component index, so a time-then-component merge would invert cause
+  // and effect; the narrative follows recording order.
+  obs::TraceRecorder recorder;
+  recorder.record(Component::kBeamSurfer,
+                  {.t = at_ms(6741),
+                   .type = TraceEventType::kServingUnreachable});
+  recorder.record(Component::kSilentTracker,
+                  {.t = at_ms(6741),
+                   .type = TraceEventType::kServingLost,
+                   .label = "bs_switch_request_undeliverable"});
+  recorder.record(Component::kSilentTracker,
+                  {.t = at_ms(6741),
+                   .type = TraceEventType::kStateTransition,
+                   .label = "Accessing"});
+  recorder.record(Component::kBeamSurfer,
+                  {.t = at_ms(6742),
+                   .type = TraceEventType::kTxBeamSwitch,
+                   .beam_b = 2});
+
+  const obs::Narrative narrative = obs::render_narrative(recorder);
+  ASSERT_EQ(narrative.lines.size(), 4u);
+  EXPECT_EQ(narrative.lines[0].component, Component::kBeamSurfer);
+  EXPECT_EQ(narrative.lines[0].message, "SERVING_UNREACHABLE");
+  EXPECT_EQ(narrative.lines[1].component, Component::kSilentTracker);
+  EXPECT_EQ(narrative.lines[1].message,
+            "SERVING_LOST reason=bs_switch_request_undeliverable");
+  EXPECT_EQ(narrative.lines[2].message, "STATE Accessing");
+  EXPECT_EQ(narrative.lines[3].message, "TX_SWITCH serving tx -> 2");
+  EXPECT_EQ(narrative.lines[3].t, at_ms(6742));
+}
+
+TEST(Narrative, ReportsRingDropsInsteadOfStartingSilentlyMidRun) {
+  obs::TraceRecorder recorder(obs::TraceConfig{2});
+  for (int i = 0; i < 5; ++i) {
+    recorder.record(Component::kSilentTracker,
+                    {.t = at_ms(i),
+                     .type = TraceEventType::kStateTransition,
+                     .label = "Tracking"});
+  }
+  recorder.record(Component::kBeamSurfer,
+                  {.t = at_ms(5), .type = TraceEventType::kServingUnreachable});
+
+  const obs::Narrative narrative = obs::render_narrative(recorder);
+  EXPECT_EQ(narrative.dropped, 3u);
+  // What survives is the tail of the overflowed ring, still in order.
+  ASSERT_EQ(narrative.lines.size(), 3u);
+  EXPECT_EQ(narrative.lines[0].t, at_ms(3));
+  EXPECT_EQ(narrative.lines[1].t, at_ms(4));
+  EXPECT_EQ(narrative.lines[2].message, "SERVING_UNREACHABLE");
+}
+
+// ---- protocol counters ----------------------------------------------------
+
+TEST(ProtocolCounterNames, UniqueNonEmptyAndInNameOrder) {
+  // Name order is what makes iterating the enum reproduce a name-sorted
+  // listing (the order quickstart and the RunReport print).
+  std::set<std::string> seen;
+  std::string previous;
+  for (std::size_t i = 0; i < obs::kProtocolCounterCount; ++i) {
+    const std::string name(
+        obs::to_string(static_cast<obs::ProtocolCounter>(i)));
+    EXPECT_FALSE(name.empty());
+    EXPECT_TRUE(seen.insert(name).second) << "duplicate " << name;
+    EXPECT_LT(previous, name);
+    previous = name;
+  }
+  EXPECT_EQ(obs::to_string(obs::ProtocolCounter::kBsSwitchRequests),
+            "bs_switch_requests");
+  EXPECT_EQ(obs::to_string(obs::ProtocolCounter::kServingUnreachable),
+            "serving_unreachable");
+}
+
+TEST(ProtocolCounterNames, NonzeroListsEveryFiredCounterByName) {
+  obs::ProtocolCounters counters;
+  for (std::size_t i = 0; i < obs::kProtocolCounterCount; ++i) {
+    counters.values[i] = i + 1;
+  }
+  const auto fired = counters.nonzero();
+  ASSERT_EQ(fired.size(), obs::kProtocolCounterCount);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i].first,
+              obs::to_string(static_cast<obs::ProtocolCounter>(i)));
+    EXPECT_EQ(fired[i].second, i + 1);
+  }
+  EXPECT_TRUE(obs::ProtocolCounters{}.nonzero().empty());
 }
 
 }  // namespace
