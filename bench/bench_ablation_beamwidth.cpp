@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const st::bench::ObsOptions obs = st::bench::consume_obs_options(argc, argv);
   const st::bench::SpecOptions spec_options =
       st::bench::consume_spec_options(argc, argv);
-  st::bench::reject_unknown_options(argc, argv, "bench_ablation_beamwidth");
+  st::bench::reject_unknown_options(argc, argv);
 
   st::bench::print_header(
       "E9: mobile beamwidth sweep across the full protocol",

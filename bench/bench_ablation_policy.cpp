@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const st::bench::ObsOptions obs = st::bench::consume_obs_options(argc, argv);
   const st::bench::SpecOptions spec_options =
       st::bench::consume_spec_options(argc, argv);
-  st::bench::reject_unknown_options(argc, argv, "bench_ablation_policy");
+  st::bench::reject_unknown_options(argc, argv);
 
   st::bench::print_header(
       "E6: probe-policy ablation (adjacent vs full re-sweep vs omni)",
@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
         ue.beam_policy.kind = variant.policy;
       }
 
-      const st::bench::Aggregate agg =
-          st::bench::run_batch_parallel(spec, run_seeds);
+      const st::bench::Aggregate agg = st::bench::run_batch(spec, run_seeds);
 
       table.row()
           .cell(scenario.label)

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const st::bench::ObsOptions obs = st::bench::consume_obs_options(argc, argv);
   const st::bench::SpecOptions spec_options =
       st::bench::consume_spec_options(argc, argv);
-  st::bench::reject_unknown_options(argc, argv, "bench_ablation_ssb_period");
+  st::bench::reject_unknown_options(argc, argv);
 
   st::bench::print_header(
       "E8: SSB periodicity ablation (measurement cadence)",
@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
         ue.reactive.search = ue.tracker.search;
       }
 
-      const st::bench::Aggregate agg =
-          st::bench::run_batch_parallel(spec, run_seeds);
+      const st::bench::Aggregate agg = st::bench::run_batch(spec, run_seeds);
       table.row()
           .cell(scenario.label)
           .cell(static_cast<int>(period_ms))

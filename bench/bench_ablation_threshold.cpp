@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const st::bench::ObsOptions obs = st::bench::consume_obs_options(argc, argv);
   const st::bench::SpecOptions spec_options =
       st::bench::consume_spec_options(argc, argv);
-  st::bench::reject_unknown_options(argc, argv, "bench_ablation_threshold");
+  st::bench::reject_unknown_options(argc, argv);
 
   st::bench::print_header(
       "E5: switching-threshold ablation (the paper's 3 dB rule)",

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
        {core::MobilityScenario::kHumanWalk, core::MobilityScenario::kRotation,
         core::MobilityScenario::kVehicular}) {
     const st::bench::Aggregate agg =
-        st::bench::run_batch_parallel(core::preset::paper(mobility), run_seeds);
+        st::bench::run_batch(core::preset::paper(mobility), run_seeds);
 
     table.row()
         .cell(std::string(core::to_string(mobility)))

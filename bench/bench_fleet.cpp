@@ -22,7 +22,6 @@
 // binary; --report-out additionally writes the machine-readable
 // FleetReport JSON of the largest fleet swept.
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -72,31 +71,12 @@ int main(int argc, char** argv) {
   std::string report_out;
   std::string preset_name;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_fleet: missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--ues") {
-      only_ues = std::strtoull(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--threads") {
-      n_threads = static_cast<unsigned>(
-          std::strtoul(next_value().c_str(), nullptr, 10));
-    } else if (arg == "--duration-ms") {
-      duration_ms = std::strtol(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--report-out") {
-      report_out = next_value();
-    } else if (arg == "--preset") {
-      preset_name = next_value();
-    } else {
-      std::cerr << "bench_fleet: unknown option '" << arg << "'\n";
-      return 2;
-    }
-  }
+  st::bench::parse_options(argc, argv,
+                           {{"--ues", st::bench::store(only_ues)},
+                            {"--threads", st::bench::store(n_threads)},
+                            {"--duration-ms", st::bench::store(duration_ms)},
+                            {"--report-out", st::bench::store(report_out)},
+                            {"--preset", st::bench::store(preset_name)}});
 
   st::bench::print_header(
       "E12: fleet engine throughput (multi-UE scaling)",

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const st::bench::ObsOptions obs = st::bench::consume_obs_options(argc, argv);
   const st::bench::SpecOptions spec_options =
       st::bench::consume_spec_options(argc, argv);
-  st::bench::reject_unknown_options(argc, argv, "bench_handover_interruption");
+  st::bench::reject_unknown_options(argc, argv);
 
   st::bench::print_header(
       "E4: handover service interruption, Silent Tracker vs reactive",
@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
       for (core::UeProfile& ue : spec.ues) {
         ue.protocol = protocol;
       }
-      const st::bench::Aggregate agg =
-          st::bench::run_batch_parallel(spec, run_seeds);
+      const st::bench::Aggregate agg = st::bench::run_batch(spec, run_seeds);
 
       table.row()
           .cell(scenario.label)

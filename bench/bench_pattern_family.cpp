@@ -56,8 +56,7 @@ int main() {
                                     .build();
       spec.ues.front().ue_ula_codebook = ula;
 
-      const st::bench::Aggregate agg =
-          st::bench::run_batch_parallel(spec, run_seeds);
+      const st::bench::Aggregate agg = st::bench::run_batch(spec, run_seeds);
       table.row()
           .cell(std::string(core::to_string(mobility)))
           .cell(ula ? "ULA (real sidelobes)" : "Gaussian (analytic)")

@@ -22,7 +22,6 @@
 // additionally writes the RunReport of one instrumented run of the first
 // scenario under the default policy.
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -72,17 +71,7 @@ int main(int argc, char** argv) {
   const st::bench::SpecOptions spec_options =
       st::bench::consume_spec_options(argc, argv);
   std::size_t n_runs = 12;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--runs" && i + 1 < argc) {
-      n_runs = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg.starts_with("--runs=")) {
-      n_runs = std::strtoull(arg.substr(7).c_str(), nullptr, 10);
-    } else {
-      std::cerr << "bench_policy_compare: unknown option '" << arg << "'\n";
-      return 2;
-    }
-  }
+  st::bench::parse_options(argc, argv, {{"--runs", st::bench::store(n_runs)}});
   if (n_runs == 0) {
     std::cerr << "bench_policy_compare: --runs must be positive\n";
     return 2;

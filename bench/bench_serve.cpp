@@ -31,7 +31,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -39,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "common/thread_annotations.hpp"
 #include "serve/client.hpp"
@@ -271,41 +271,18 @@ OpenLoopResult run_open_loop(const Options& opt,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_serve: missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      opt.socket = next_value();
-    } else if (arg == "--workers") {
-      opt.workers = std::strtoull(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--queue-capacity") {
-      opt.queue_capacity = std::strtoull(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--fleet-threads") {
-      opt.fleet_threads =
-          static_cast<unsigned>(std::strtoul(next_value().c_str(), nullptr, 10));
-    } else if (arg == "--clients") {
-      opt.clients = std::strtoull(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--seconds") {
-      opt.seconds = std::strtod(next_value().c_str(), nullptr);
-    } else if (arg == "--open-rate") {
-      opt.open_rate = std::strtod(next_value().c_str(), nullptr);
-    } else if (arg == "--duration-ms") {
-      opt.duration_ms = std::strtol(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--ues") {
-      opt.ues = std::strtoull(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--out") {
-      opt.out = next_value();
-    } else {
-      std::cerr << "bench_serve: unknown option '" << arg << "'\n";
-      return 2;
-    }
-  }
+  st::bench::parse_options(
+      argc, argv,
+      {{"--socket", st::bench::store(opt.socket)},
+       {"--workers", st::bench::store(opt.workers)},
+       {"--queue-capacity", st::bench::store(opt.queue_capacity)},
+       {"--fleet-threads", st::bench::store(opt.fleet_threads)},
+       {"--clients", st::bench::store(opt.clients)},
+       {"--seconds", st::bench::store(opt.seconds)},
+       {"--open-rate", st::bench::store(opt.open_rate)},
+       {"--duration-ms", st::bench::store(opt.duration_ms)},
+       {"--ues", st::bench::store(opt.ues)},
+       {"--out", st::bench::store(opt.out)}});
 
   std::cout << "E13: service load bench (jobs/sec, latency tail, shedding)\n";
 

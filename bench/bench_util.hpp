@@ -10,9 +10,12 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -23,6 +26,97 @@
 #include "obs/export.hpp"
 
 namespace st::bench {
+
+/// One command-line option of a bench or example binary. A value option
+/// accepts both `--flag=value` and `--flag value`; a switch
+/// (`takes_value = false`) is the bare `--flag` and is applied with an
+/// empty value.
+struct Option {
+  std::string_view flag;
+  std::function<void(const std::string& value)> apply;
+  bool takes_value = true;
+};
+
+/// An Option::apply that stores the value in `target`: verbatim into a
+/// string, otherwise parsed as a base-10 integer or a floating-point
+/// number (strtoull / strtoll / strtod, so an unparsable value reads 0).
+template <typename T>
+[[nodiscard]] auto store(T& target) {
+  return [&target](const std::string& value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      target = value;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      target = static_cast<T>(std::strtod(value.c_str(), nullptr));
+    } else if constexpr (std::is_unsigned_v<T>) {
+      target = static_cast<T>(std::strtoull(value.c_str(), nullptr, 10));
+    } else {
+      target = static_cast<T>(std::strtoll(value.c_str(), nullptr, 10));
+    }
+  };
+}
+
+/// The binary's name without its directory, for error messages.
+[[nodiscard]] inline std::string_view program_name(char** argv) {
+  const std::string_view path = argv[0];
+  return path.substr(path.find_last_of('/') + 1);
+}
+
+/// Apply, in argv order, every entry that names one of `options` and
+/// remove it from argv; the other entries stay, in order, for the
+/// caller's own parsing (or google-benchmark's). A value option given
+/// last without its value exits with status 2.
+inline void consume_options(int& argc, char** argv,
+                            std::initializer_list<Option> options) {
+  int out = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const Option* match = nullptr;
+    std::string value;
+    for (const Option& option : options) {
+      if (arg == option.flag) {
+        match = &option;
+        if (option.takes_value) {
+          if (i + 1 >= argc) {
+            std::cerr << program_name(argv) << ": missing value for " << arg
+                      << "\n";
+            std::exit(2);
+          }
+          value = argv[++i];
+        }
+        break;
+      }
+      if (option.takes_value && arg.size() > option.flag.size() &&
+          arg.starts_with(option.flag) && arg[option.flag.size()] == '=') {
+        match = &option;
+        value = arg.substr(option.flag.size() + 1);
+        break;
+      }
+    }
+    if (match == nullptr) {
+      argv[out++] = argv[i];
+      continue;
+    }
+    match->apply(value);
+  }
+  argc = out;
+}
+
+/// Exit with status 2 on any argv entry the consume passes left behind.
+inline void reject_unknown_options(int argc, char** argv) {
+  if (argc > 1) {
+    std::cerr << program_name(argv) << ": unknown option '" << argv[1]
+              << "'\n";
+    std::exit(2);
+  }
+}
+
+/// consume_options, then reject_unknown_options: every remaining flag of
+/// the binary is one of `options`.
+inline void parse_options(int argc, char** argv,
+                          std::initializer_list<Option> options) {
+  consume_options(argc, argv, options);
+  reject_unknown_options(argc, argv);
+}
 
 /// Observability outputs shared by the scenario-driven binaries:
 /// `--trace-out=<path>` writes a Chrome/Perfetto trace.json of one
@@ -37,33 +131,13 @@ struct ObsOptions {
   }
 };
 
-/// Strip `--trace-out=...` / `--report-out=...` (also the two-token
-/// `--flag value` spelling) from argv so the binary's own parsing — or
-/// google-benchmark's — never sees them.
+/// Strip `--trace-out` / `--report-out` from argv so the binary's own
+/// parsing — or google-benchmark's — never sees them.
 [[nodiscard]] inline ObsOptions consume_obs_options(int& argc, char** argv) {
   ObsOptions options;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto match = [&](const std::string& flag,
-                           std::string& value) -> bool {
-      if (arg.starts_with(flag + "=")) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-      }
-      if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-      }
-      return false;
-    };
-    if (match("--trace-out", options.trace_out) ||
-        match("--report-out", options.report_out)) {
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
+  consume_options(argc, argv,
+                  {{"--trace-out", store(options.trace_out)},
+                   {"--report-out", store(options.report_out)}});
   return options;
 }
 
@@ -102,52 +176,20 @@ inline bool write_observability(const ObsOptions& options,
 /// scenario axis to one named spec preset (core::preset_by_name — the
 /// multi-cell presets bring their own deployment shape, cell load, and
 /// handover policy), `--duration-ms=<D>` overrides the per-run duration.
-/// Both accept the two-token `--flag value` spelling and default off.
+/// Both default off.
 struct SpecOptions {
   std::string preset;
   std::int64_t duration_ms = 0;
 };
 
-/// Strip `--preset=...` / `--duration-ms=...` from argv, mirroring
-/// consume_obs_options, so the two passes compose in either order.
+/// Strip `--preset` / `--duration-ms` from argv, like consume_obs_options,
+/// so the two passes compose in either order.
 [[nodiscard]] inline SpecOptions consume_spec_options(int& argc, char** argv) {
   SpecOptions options;
-  std::string duration;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto match = [&](const std::string& flag,
-                           std::string& value) -> bool {
-      if (arg.starts_with(flag + "=")) {
-        value = arg.substr(flag.size() + 1);
-        return true;
-      }
-      if (arg == flag && i + 1 < argc) {
-        value = argv[++i];
-        return true;
-      }
-      return false;
-    };
-    if (match("--preset", options.preset) ||
-        match("--duration-ms", duration)) {
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  if (!duration.empty()) {
-    options.duration_ms = std::strtol(duration.c_str(), nullptr, 10);
-  }
+  consume_options(argc, argv,
+                  {{"--preset", store(options.preset)},
+                   {"--duration-ms", store(options.duration_ms)}});
   return options;
-}
-
-/// Exit with status 2 on any argv entry the consume_* passes left behind.
-inline void reject_unknown_options(int argc, char** argv,
-                                   std::string_view binary) {
-  if (argc > 1) {
-    std::cerr << binary << ": unknown option '" << argv[1] << "'\n";
-    std::exit(2);
-  }
 }
 
 /// One labelled spec per swept scenario.
@@ -225,25 +267,14 @@ struct Aggregate {
   }
 };
 
-/// Run one spec across `run_seeds`, aggregating outcomes.
+/// Run one spec across `run_seeds` and aggregate the outcomes. The runs
+/// are sharded over fleet::parallel_map's thread pool and absorbed in
+/// seed order once every worker has joined. Each run is a pure function
+/// of (spec, seed) and absorption order is the only aggregation-order
+/// effect, so the Aggregate is bit-identical for any thread count (pinned
+/// by tests/core/test_batch_runner.cpp). `n_threads == 0` uses the
+/// hardware concurrency; 1 runs serially on the calling thread.
 [[nodiscard]] inline Aggregate run_batch(
-    core::ScenarioSpec spec, const std::vector<std::uint64_t>& run_seeds) {
-  Aggregate agg;
-  for (const std::uint64_t seed : run_seeds) {
-    spec.seed = seed;
-    agg.absorb(core::run_scenario(spec));
-  }
-  return agg;
-}
-
-/// Parallel run_batch: shards the seeds over fleet::parallel_map's thread
-/// pool and absorbs the per-run results in seed order once every worker
-/// has joined. Each run is a pure function of (spec, seed) and absorption
-/// order is the only aggregation-order effect, so the returned Aggregate
-/// is bit-identical to the serial run_batch for the same seed list
-/// (pinned by tests/core/test_batch_runner.cpp). `n_threads == 0` uses
-/// the hardware concurrency.
-[[nodiscard]] inline Aggregate run_batch_parallel(
     const core::ScenarioSpec& spec,
     const std::vector<std::uint64_t>& run_seeds, unsigned n_threads = 0) {
   const std::vector<core::ScenarioResult> results = fleet::parallel_map(

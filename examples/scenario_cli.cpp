@@ -18,12 +18,13 @@
 //     --seed <n>                           (default 1)
 //     --csv rss|gap|snr                    (print a series as CSV and exit)
 //     --quiet                              (summary only, no event log)
+//   Every option that takes a value also accepts the --flag=value spelling.
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "bench/bench_util.hpp"
 #include "common/table.hpp"
 #include "core/scenario.hpp"
 #include "obs/export.hpp"
@@ -39,7 +40,7 @@ using namespace st::sim::literals;
   std::exit(2);
 }
 
-void print_help() {
+[[noreturn]] void print_help_and_exit() {
   std::cout <<
       R"(scenario_cli — run one Silent Tracker experiment with custom knobs.
 
@@ -60,6 +61,7 @@ void print_help() {
   --trace-out <path>                   write Chrome/Perfetto trace.json
   --report-out <path>                  write machine-readable RunReport JSON
 )";
+  std::exit(0);
 }
 
 }  // namespace
@@ -73,80 +75,66 @@ int main(int argc, char** argv) {
   std::string report_out;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage_error("missing value for " + arg);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      print_help();
-      return 0;
-    } else if (arg == "--scenario") {
-      const std::string v = next_value();
-      if (v == "walk") {
-        ue.mobility = core::MobilityScenario::kHumanWalk;
-      } else if (v == "rotation") {
-        ue.mobility = core::MobilityScenario::kRotation;
-        // The paper's rotation runs sit at a tighter 40 m cell edge (see
-        // preset::paper_rotation()).
-        spec.deployment.inter_site_m =
-            std::min(spec.deployment.inter_site_m, 40.0);
-      } else if (v == "vehicular") {
-        ue.mobility = core::MobilityScenario::kVehicular;
-        spec.n_cells = 3;
-      } else {
-        usage_error("unknown scenario '" + v + "'");
-      }
-    } else if (arg == "--protocol") {
-      const std::string v = next_value();
-      if (v == "tracker") {
-        ue.protocol = core::ProtocolKind::kSilentTracker;
-      } else if (v == "reactive") {
-        ue.protocol = core::ProtocolKind::kReactive;
-      } else {
-        usage_error("unknown protocol '" + v + "'");
-      }
-    } else if (arg == "--beamwidth") {
-      ue.ue_beamwidth_deg = std::strtod(next_value().c_str(), nullptr);
-    } else if (arg == "--ula") {
-      ue.ue_ula_codebook = true;
-    } else if (arg == "--threshold") {
-      const double thr = std::strtod(next_value().c_str(), nullptr);
-      ue.tracker.neighbour_tracker.drop_threshold_db = thr;
-      ue.tracker.beamsurfer.tracker.drop_threshold_db = thr;
-      ue.reactive.beamsurfer.tracker.drop_threshold_db = thr;
-    } else if (arg == "--cells") {
-      spec.n_cells =
-          static_cast<unsigned>(std::strtoul(next_value().c_str(), nullptr, 10));
-    } else if (arg == "--duration") {
-      spec.duration = sim::Duration::seconds_of(
-          std::strtod(next_value().c_str(), nullptr));
-    } else if (arg == "--speed") {
-      ue.walk_speed_mps = std::strtod(next_value().c_str(), nullptr);
-    } else if (arg == "--rotation-rate") {
-      ue.rotation_rate_deg_s = std::strtod(next_value().c_str(), nullptr);
-    } else if (arg == "--vehicle-mph") {
-      ue.vehicle_speed_mph = std::strtod(next_value().c_str(), nullptr);
-    } else if (arg == "--ssb-period") {
-      spec.deployment.frame.ssb_period = sim::Duration::milliseconds(
-          std::strtol(next_value().c_str(), nullptr, 10));
-    } else if (arg == "--seed") {
-      spec.seed = std::strtoull(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--csv") {
-      csv = next_value();
-    } else if (arg == "--trace-out") {
-      trace_out = next_value();
-    } else if (arg == "--report-out") {
-      report_out = next_value();
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      usage_error("unknown option '" + arg + "'");
-    }
-  }
+  bench::parse_options(
+      argc, argv,
+      {{"--help", [](const std::string&) { print_help_and_exit(); }, false},
+       {"-h", [](const std::string&) { print_help_and_exit(); }, false},
+       {"--scenario",
+        [&](const std::string& v) {
+          if (v == "walk") {
+            ue.mobility = core::MobilityScenario::kHumanWalk;
+          } else if (v == "rotation") {
+            ue.mobility = core::MobilityScenario::kRotation;
+            // The paper's rotation runs sit at a tighter 40 m cell edge
+            // (see preset::paper_rotation()).
+            spec.deployment.inter_site_m =
+                std::min(spec.deployment.inter_site_m, 40.0);
+          } else if (v == "vehicular") {
+            ue.mobility = core::MobilityScenario::kVehicular;
+            spec.n_cells = 3;
+          } else {
+            usage_error("unknown scenario '" + v + "'");
+          }
+        }},
+       {"--protocol",
+        [&](const std::string& v) {
+          if (v == "tracker") {
+            ue.protocol = core::ProtocolKind::kSilentTracker;
+          } else if (v == "reactive") {
+            ue.protocol = core::ProtocolKind::kReactive;
+          } else {
+            usage_error("unknown protocol '" + v + "'");
+          }
+        }},
+       {"--beamwidth", bench::store(ue.ue_beamwidth_deg)},
+       {"--ula", [&](const std::string&) { ue.ue_ula_codebook = true; },
+        false},
+       {"--threshold",
+        [&](const std::string& v) {
+          const double thr = std::strtod(v.c_str(), nullptr);
+          ue.tracker.neighbour_tracker.drop_threshold_db = thr;
+          ue.tracker.beamsurfer.tracker.drop_threshold_db = thr;
+          ue.reactive.beamsurfer.tracker.drop_threshold_db = thr;
+        }},
+       {"--cells", bench::store(spec.n_cells)},
+       {"--duration",
+        [&](const std::string& v) {
+          spec.duration =
+              sim::Duration::seconds_of(std::strtod(v.c_str(), nullptr));
+        }},
+       {"--speed", bench::store(ue.walk_speed_mps)},
+       {"--rotation-rate", bench::store(ue.rotation_rate_deg_s)},
+       {"--vehicle-mph", bench::store(ue.vehicle_speed_mph)},
+       {"--ssb-period",
+        [&](const std::string& v) {
+          spec.deployment.frame.ssb_period = sim::Duration::milliseconds(
+              std::strtol(v.c_str(), nullptr, 10));
+        }},
+       {"--seed", bench::store(spec.seed)},
+       {"--csv", bench::store(csv)},
+       {"--trace-out", bench::store(trace_out)},
+       {"--report-out", bench::store(report_out)},
+       {"--quiet", [&](const std::string&) { quiet = true; }, false}});
 
   // The event log printed below is rendered from the trace.
   const bool print_log = !quiet && csv.empty();

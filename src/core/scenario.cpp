@@ -20,10 +20,6 @@ using sim::Time;
 constexpr double kAlignmentToleranceDb = 3.0;
 }  // namespace
 
-phy::Codebook make_ue_codebook(double beamwidth_deg) {
-  return make_ue_codebook(beamwidth_deg, false);
-}
-
 phy::Codebook make_ue_codebook(double beamwidth_deg, bool ula) {
   if (beamwidth_deg <= 0.0) {
     return phy::Codebook::omni();
@@ -84,39 +80,6 @@ std::unique_ptr<net::RadioEnvironment> make_ue_environment(
 }
 
 namespace {
-
-/// to_spec() without the deprecation note, for the legacy entry points
-/// that forward through the conversion internally.
-ScenarioSpec spec_from_config(const ScenarioConfig& config) {
-  ScenarioSpec spec;
-  spec.n_cells = config.n_cells;
-  spec.deployment = config.deployment;
-  if (config.mobility == MobilityScenario::kRotation) {
-    // The legacy rotation rule, applied at conversion time so the spec's
-    // deployment is explicit (specs never adjust geometry per mobility).
-    spec.deployment.inter_site_m =
-        std::min(spec.deployment.inter_site_m, config.rotation_inter_site_m);
-  }
-  spec.environment = config.environment;
-  spec.duration = config.duration;
-  spec.metric_period = config.metric_period;
-  spec.collect_trace = config.collect_trace;
-  spec.trace_buffer_capacity = config.trace_buffer_capacity;
-  spec.seed = config.seed;
-
-  UeProfile& profile = spec.ues.front();
-  profile.mobility = config.mobility;
-  profile.protocol = config.protocol;
-  profile.ue_beamwidth_deg = config.ue_beamwidth_deg;
-  profile.ue_ula_codebook = config.ue_ula_codebook;
-  profile.tracker = config.tracker;
-  profile.reactive = config.reactive;
-  profile.walk_speed_mps = config.walk_speed_mps;
-  profile.rotation_rate_deg_s = config.rotation_rate_deg_s;
-  profile.vehicle_speed_mph = config.vehicle_speed_mph;
-  profile.chain_handovers = config.chain_handovers;
-  return spec;
-}
 
 /// Owns everything alive during one mobile's run; members are declared in
 /// dependency order so destruction tears protocols down before the
@@ -460,17 +423,6 @@ bool ScenarioResult::all_handovers_aligned() const noexcept {
   return true;
 }
 
-std::shared_ptr<const mobility::MobilityModel> make_mobility(
-    const ScenarioConfig& config, const net::Deployment& deployment) {
-  const ScenarioSpec spec = spec_from_config(config);
-  return make_mobility(spec, spec.ues.front(), config.seed, deployment);
-}
-
-ScenarioResult run_scenario_ue(const ScenarioSpec& spec, std::size_t ue,
-                               const net::Deployment& deployment) {
-  return run_scenario_ue(spec, ue, deployment, nullptr);
-}
-
 ScenarioResult run_scenario_ue(const ScenarioSpec& spec, std::size_t ue,
                                const net::Deployment& deployment,
                                const sim::CancelToken* cancel) {
@@ -492,14 +444,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         "run_scenario: spec holds a fleet; use fleet::run_fleet");
   }
   return run_scenario_ue(spec, 0);
-}
-
-ScenarioResult run_scenario(const ScenarioConfig& config) {
-  return run_scenario_ue(spec_from_config(config), 0);
-}
-
-ScenarioSpec to_spec(const ScenarioConfig& config) {
-  return spec_from_config(config);
 }
 
 namespace {
@@ -657,11 +601,6 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
   }
 
   return report;
-}
-
-obs::RunReport build_run_report(const ScenarioConfig& config,
-                                const ScenarioResult& result) {
-  return build_run_report(spec_from_config(config), result, 0);
 }
 
 }  // namespace st::core

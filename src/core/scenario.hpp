@@ -29,58 +29,6 @@
 
 namespace st::core {
 
-/// Legacy single-mobile configuration, superseded by the ScenarioSpec /
-/// UeProfile split in core/scenario_spec.hpp (see docs/SCENARIO_API.md for
-/// the migration table). Kept for one release as a compatibility surface:
-/// run_scenario(ScenarioConfig) forwards to the spec engine through the
-/// same conversion as the deprecated to_spec() adapter below.
-struct ScenarioConfig {
-  MobilityScenario mobility = MobilityScenario::kHumanWalk;
-  ProtocolKind protocol = ProtocolKind::kSilentTracker;
-
-  /// Mobile codebook beamwidth in degrees; <= 0 selects the omni antenna.
-  double ue_beamwidth_deg = 20.0;
-  /// Build the mobile codebook from a physical half-wavelength ULA
-  /// (sinc-like main lobe with real sidelobes) instead of the analytic
-  /// Gaussian pattern. Sidelobes admit ghost detections during search and
-  /// leak interference — the realism ablation of E11.
-  bool ue_ula_codebook = false;
-
-  unsigned n_cells = 2;
-  net::DeploymentConfig deployment{};
-  net::EnvironmentConfig environment{};
-  SilentTrackerConfig tracker{};
-  ReactiveHandoverConfig reactive{};
-
-  /// Paper parameters for the three scenarios.
-  double walk_speed_mps = 1.4;
-  double rotation_rate_deg_s = 120.0;
-  double vehicle_speed_mph = 20.0;
-  /// The rotation experiment runs in a tighter deployment (the paper's
-  /// 3-node testbed kept all nodes at ~10 m scale): rotation does not
-  /// translate the mobile, so the inter-site distance only sets the SNR
-  /// levels — and a neighbour at the detection floor is untrackable by
-  /// *any* in-band scheme once the beam slips.
-  double rotation_inter_site_m = 40.0;
-
-  sim::Duration duration = sim::Duration::milliseconds(30'000);
-  sim::Duration metric_period = sim::Duration::milliseconds(10);
-
-  /// Start a fresh protocol instance after each completed handover (the
-  /// vehicular drive passes several cells).
-  bool chain_handovers = true;
-
-  /// Record typed trace events (obs::TraceRecorder) and per-event dispatch
-  /// timing during the run. Off by default: the benches measure the
-  /// protocols, not the telemetry. Enabling it populates
-  /// ScenarioResult::trace for the exporters and RunReport latencies.
-  bool collect_trace = false;
-  /// Per-component ring capacity when collect_trace is on.
-  std::size_t trace_buffer_capacity = 1 << 16;
-
-  std::uint64_t seed = 1;
-};
-
 struct ScenarioResult {
   std::vector<net::HandoverRecord> handovers;
 
@@ -136,8 +84,8 @@ struct ScenarioResult {
   [[nodiscard]] bool all_handovers_aligned() const noexcept;
 };
 
-/// Build the shared deployment of a spec: a row of spec.n_cells cells
-/// from spec.deployment, taken verbatim — unlike the legacy path, no
+/// Build the shared deployment of a spec: spec.n_cells cells in the
+/// spec.deployment_shape layout, from spec.deployment taken verbatim. No
 /// mobility-dependent adjustment is applied (presets encode their
 /// geometry explicitly), so every UE of a fleet sees the same sites.
 [[nodiscard]] net::Deployment make_deployment(const ScenarioSpec& spec);
@@ -148,11 +96,6 @@ struct ScenarioResult {
 [[nodiscard]] std::shared_ptr<const mobility::MobilityModel> make_mobility(
     const ScenarioSpec& spec, const UeProfile& profile, std::uint64_t root_seed,
     const net::Deployment& deployment);
-
-/// Legacy overload over the flat config (deployment already built by the
-/// caller, including any rotation tightening).
-[[nodiscard]] std::shared_ptr<const mobility::MobilityModel> make_mobility(
-    const ScenarioConfig& config, const net::Deployment& deployment);
 
 /// Build the complete radio environment of one mobile over a shared
 /// deployment: per-UE environment seed and UE id, mobility model, and
@@ -165,30 +108,25 @@ struct ScenarioResult {
     const ScenarioSpec& spec, std::size_t ue,
     const net::Deployment& deployment);
 
-/// Build the UE codebook for the configured beamwidth.
-[[nodiscard]] phy::Codebook make_ue_codebook(double beamwidth_deg);
-
-/// As above, optionally with physical ULA patterns (real sidelobes).
-[[nodiscard]] phy::Codebook make_ue_codebook(double beamwidth_deg, bool ula);
+/// Build the UE codebook for the configured beamwidth (<= 0 selects the
+/// omni antenna), optionally with physical ULA patterns (real sidelobes).
+[[nodiscard]] phy::Codebook make_ue_codebook(double beamwidth_deg,
+                                             bool ula = false);
 
 /// Run one mobile of a spec to completion against a caller-provided
 /// deployment (the fleet engine builds it once and shares it). The run is
 /// deterministic in fleet_ue_seed(spec.seed, ue) alone: the same UE
 /// profile run alone in a single-UE spec seeded with that root produces a
 /// bit-identical result.
-[[nodiscard]] ScenarioResult run_scenario_ue(const ScenarioSpec& spec,
-                                             std::size_t ue,
-                                             const net::Deployment& deployment);
-
-/// As above with a cooperative cancellation token threaded into the
-/// scenario step loop: the engine polls it between events and returns
-/// the partial result (cancelled = true) once it fires. A null or
-/// never-fired token produces a result bit-identical to the plain
-/// overload, apart from wall-clock stats.
-[[nodiscard]] ScenarioResult run_scenario_ue(const ScenarioSpec& spec,
-                                             std::size_t ue,
-                                             const net::Deployment& deployment,
-                                             const sim::CancelToken* cancel);
+///
+/// A non-null `cancel` token is polled between events; once it fires the
+/// run stops and returns the partial result (cancelled = true). A null or
+/// never-fired token produces the same result, apart from wall-clock
+/// stats.
+[[nodiscard]] ScenarioResult run_scenario_ue(
+    const ScenarioSpec& spec, std::size_t ue,
+    const net::Deployment& deployment,
+    const sim::CancelToken* cancel = nullptr);
 
 /// As above, building the deployment from the spec.
 [[nodiscard]] ScenarioResult run_scenario_ue(const ScenarioSpec& spec,
@@ -199,11 +137,6 @@ struct ScenarioResult {
 /// fleet::run_fleet, which aggregates per-UE results.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
 
-/// Run one scenario to completion (deterministic in `config.seed`).
-/// Legacy entry point: forwards to the spec engine via the same
-/// conversion as to_spec().
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config);
-
 /// Assemble the machine-readable run report from a finished result:
 /// handover outcomes, engine and snapshot-cache stats, non-zero protocol
 /// counters,
@@ -213,19 +146,5 @@ struct ScenarioResult {
 [[nodiscard]] obs::RunReport build_run_report(const ScenarioSpec& spec,
                                               const ScenarioResult& result,
                                               std::size_t ue = 0);
-
-/// Legacy overload over the flat config.
-[[nodiscard]] obs::RunReport build_run_report(const ScenarioConfig& config,
-                                              const ScenarioResult& result);
-
-/// Adapter from the legacy flat config to the ScenarioSpec / UeProfile
-/// split: one UE carrying the per-mobile fields, a spec carrying the
-/// shared frame. The legacy rotation rule — a kRotation mobility tightens
-/// the deployment to rotation_inter_site_m — is applied here, at
-/// conversion time, so the resulting spec's deployment is explicit.
-[[deprecated(
-    "ScenarioConfig is superseded by ScenarioSpec + UeProfile; build specs "
-    "with SpecBuilder or preset::paper_*() — see docs/SCENARIO_API.md")]]
-[[nodiscard]] ScenarioSpec to_spec(const ScenarioConfig& config);
 
 }  // namespace st::core

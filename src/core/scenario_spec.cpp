@@ -33,8 +33,8 @@ std::string_view to_string(ProtocolKind p) noexcept {
 
 std::uint64_t fleet_ue_seed(std::uint64_t fleet_seed, std::size_t ue) noexcept {
   if (ue == 0) {
-    // The first mobile owns the fleet seed outright, so a single-UE spec
-    // is seed-for-seed identical to the legacy ScenarioConfig path.
+    // The first mobile owns the fleet seed outright, so single-UE seeds
+    // reproduce the published tables.
     return fleet_seed;
   }
   // Later mobiles draw from a SplitMix64 stream over a label-derived root,

@@ -1,11 +1,8 @@
-// The experiment API, redesigned for fleets.
-//
-// The original ScenarioConfig described exactly one mobile and one
-// deployment in a single flat struct. A fleet run needs the opposite
-// factoring: one shared experiment frame (deployment, radio environment,
-// duration, metric cadence, trace options) against which N independent
-// mobiles run, each with its own mobility, codebook, protocol, and
-// derived random streams. This header provides that split:
+// The experiment API: one shared experiment frame (deployment, radio
+// environment, duration, metric cadence, trace options) against which N
+// independent mobiles run, each with its own mobility, codebook,
+// protocol, and derived random streams. A single-UE spec is the paper's
+// setup; a longer UE list is a fleet. This header provides:
 //
 //   * UeProfile    — everything that is per-mobile;
 //   * ScenarioSpec — the shared frame plus a vector of UeProfiles;
@@ -16,9 +13,6 @@
 //   * fleet_ue_seed() — the per-UE splitmix seed derivation that keeps a
 //                    UE's realisation identical whether it runs alone or
 //                    inside a fleet.
-//
-// The legacy ScenarioConfig (core/scenario.hpp) remains for one release
-// as a thin compatibility surface; to_spec() is the deprecated adapter.
 #pragma once
 
 #include <cstdint>
@@ -128,9 +122,8 @@ struct ScenarioSpec {
 };
 
 /// Root seed of UE `ue` in a fleet seeded with `fleet_seed`. UE 0 inherits
-/// the fleet seed unchanged — the paper's single-mobile path stays
-/// bit-identical to the legacy ScenarioConfig runs — while later UEs draw
-/// decorrelated roots from a SplitMix64 stream over the fleet seed, so a
+/// the fleet seed unchanged — so single-UE seeds reproduce the published
+/// tables — while later UEs draw decorrelated roots from a SplitMix64 stream over the fleet seed, so a
 /// UE's trajectory is the same whether it runs alone (a single-UE spec
 /// seeded with its root) or inside the fleet.
 [[nodiscard]] std::uint64_t fleet_ue_seed(std::uint64_t fleet_seed,
@@ -231,8 +224,8 @@ namespace preset {
 /// (three for the vehicular drive, which passes several), and — for the
 /// rotation preset — the tighter inter-site distance of the paper's
 /// ~10 m-scale 3-node testbed. A single-UE run of one of these specs is
-/// bit-identical to the legacy ScenarioConfig run it replaces (pinned by
-/// tests/core/test_scenario_spec.cpp).
+/// bit-identical to the same setup spelled field by field from a default
+/// ScenarioSpec (pinned by tests/core/test_scenario_spec.cpp).
 [[nodiscard]] ScenarioSpec paper_walk();
 [[nodiscard]] ScenarioSpec paper_rotation();
 [[nodiscard]] ScenarioSpec paper_vehicular();

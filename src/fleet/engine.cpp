@@ -46,10 +46,6 @@ net::SnapshotCacheStats FleetChannelBatch::stats() const {
   return total;
 }
 
-FleetResult run_fleet(const core::ScenarioSpec& spec, unsigned n_threads) {
-  return run_fleet(spec, n_threads, RunControl{});
-}
-
 FleetResult run_fleet(const core::ScenarioSpec& spec, unsigned n_threads,
                       const RunControl& control) {
   if (spec.ues.empty()) {

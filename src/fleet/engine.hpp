@@ -122,17 +122,13 @@ class FleetChannelBatch {
 /// Run every mobile of `spec` to completion. `n_threads == 0` uses the
 /// hardware concurrency, 1 forces a serial run; any value produces a
 /// bit-identical FleetResult apart from the wall-clock fields.
+/// `control.cancel` stops every UE within one scenario step of firing
+/// (partial results are returned with `cancelled` set) and
+/// `control.on_ue_complete` reports progress; neither changes a run that
+/// is not cancelled.
 [[nodiscard]] FleetResult run_fleet(const core::ScenarioSpec& spec,
-                                    unsigned n_threads = 0);
-
-/// As above with a control surface: `control.cancel` stops every UE
-/// within one scenario step of firing (partial results are returned
-/// with `cancelled` set), `control.on_ue_complete` reports progress.
-/// A default RunControl makes this bit-identical to the plain overload
-/// apart from the wall-clock fields.
-[[nodiscard]] FleetResult run_fleet(const core::ScenarioSpec& spec,
-                                    unsigned n_threads,
-                                    const RunControl& control);
+                                    unsigned n_threads = 0,
+                                    const RunControl& control = {});
 
 /// Assemble the fleet-level report: one row per UE (alignment fraction,
 /// handover outcomes, RACH attempts) plus the fleet distributions of

@@ -12,7 +12,7 @@ namespace st::phy {
 namespace {
 
 /// Scratch snapshot for the pose-based convenience entry points. One per
-/// thread so concurrent scenario runs (run_batch_parallel) never share
+/// thread so concurrent scenario runs (bench::run_batch) never share
 /// state; capacity is retained across calls, so the hot path allocates
 /// only on each thread's first use.
 PathSnapshot& scratch_snapshot() {

@@ -1,9 +1,9 @@
-// The redesigned experiment API: UeProfile + ScenarioSpec + SpecBuilder +
-// presets + fleet_ue_seed. The contracts pinned here are the ones the
-// fleet engine rides on: preset N=1 runs are bit-identical to the legacy
-// ScenarioConfig runs they replace, a UE's realisation is the same alone
-// or inside a fleet, and the deprecated adapter reproduces the legacy
-// semantics (including the rotation deployment rule) exactly.
+// The experiment API: UeProfile + ScenarioSpec + SpecBuilder + presets +
+// fleet_ue_seed. The contracts pinned here are the ones the fleet engine
+// rides on: a paper preset's single-UE run is bit-identical to the same
+// setup spelled field by field from a default ScenarioSpec, UE 0 inherits
+// the fleet seed, and a UE's realisation is the same alone or inside a
+// fleet.
 #include "core/scenario_spec.hpp"
 
 #include <gtest/gtest.h>
@@ -24,8 +24,8 @@ using test::fingerprint;
 // ---- fleet_ue_seed --------------------------------------------------------
 
 TEST(FleetUeSeed, UeZeroInheritsTheFleetSeed) {
-  // The single-mobile path must stay bit-identical to the legacy runs, so
-  // UE 0 must see exactly the fleet seed, not a derived one.
+  // Single-UE seeds reproduce the published tables, so UE 0 must see
+  // exactly the fleet seed, not a derived one.
   EXPECT_EQ(fleet_ue_seed(1, 0), 1u);
   EXPECT_EQ(fleet_ue_seed(1000, 0), 1000u);
   EXPECT_EQ(fleet_ue_seed(0xDEADBEEF, 0), 0xDEADBEEFu);
@@ -49,19 +49,26 @@ TEST(FleetUeSeed, DerivationIsAPureFunction) {
   }
 }
 
-// ---- presets reproduce the legacy single-UE runs --------------------------
+// ---- presets match the setups they name -----------------------------------
 
 class PresetEquivalence : public ::testing::TestWithParam<MobilityScenario> {};
 
 TEST_P(PresetEquivalence, SingleUePresetMatchesLegacyConfigBitForBit) {
   const MobilityScenario mobility = GetParam();
 
-  ScenarioConfig legacy;
-  legacy.mobility = mobility;
-  legacy.n_cells = mobility == MobilityScenario::kVehicular ? 3U : 2U;
-  legacy.duration = 8'000_ms;
-  legacy.seed = 1000;
-  legacy.collect_trace = true;
+  // The paper's setup as the original single-mobile configuration spelled
+  // it, field by field from the defaults: the mobility, three cells for
+  // the vehicular drive (it passes several) and two otherwise, and the
+  // 40 m cell edge of the rotation testbed.
+  ScenarioSpec explicit_spec;
+  explicit_spec.ues.front().mobility = mobility;
+  explicit_spec.n_cells = mobility == MobilityScenario::kVehicular ? 3U : 2U;
+  if (mobility == MobilityScenario::kRotation) {
+    explicit_spec.deployment.inter_site_m = 40.0;
+  }
+  explicit_spec.duration = 8'000_ms;
+  explicit_spec.seed = 1000;
+  explicit_spec.collect_trace = true;
 
   const ScenarioSpec spec = SpecBuilder(preset::paper(mobility))
                                 .duration(8'000_ms)
@@ -70,7 +77,8 @@ TEST_P(PresetEquivalence, SingleUePresetMatchesLegacyConfigBitForBit) {
                                 .build();
   ASSERT_EQ(spec.ue_count(), 1u);
 
-  EXPECT_EQ(fingerprint(run_scenario(legacy)), fingerprint(run_scenario(spec)));
+  EXPECT_EQ(fingerprint(run_scenario(explicit_spec)),
+            fingerprint(run_scenario(spec)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, PresetEquivalence,
@@ -160,44 +168,6 @@ TEST(SpecBuilder, UesAppendsSharedProfiles) {
     EXPECT_EQ(ue.mobility, MobilityScenario::kHumanWalk);
   }
 }
-
-// ---- deprecated adapter ---------------------------------------------------
-// The single place deprecated to_spec() is still exercised: one
-// adapter-equivalence test pinning that the conversion reproduces the
-// legacy semantics (field carry-over, run fingerprint, rotation rule).
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ScenarioConfigAdapter, ToSpecReproducesLegacySemantics) {
-  ScenarioConfig config;
-  config.mobility = MobilityScenario::kHumanWalk;
-  config.duration = 6'000_ms;
-  config.seed = 99;
-  config.ue_beamwidth_deg = 60.0;
-  config.collect_trace = true;
-  const ScenarioSpec spec = to_spec(config);
-  ASSERT_EQ(spec.ue_count(), 1u);
-  EXPECT_EQ(spec.seed, 99u);
-  EXPECT_DOUBLE_EQ(spec.ues.front().ue_beamwidth_deg, 60.0);
-  EXPECT_EQ(fingerprint(run_scenario(config)), fingerprint(run_scenario(spec)));
-
-  // Legacy rotation semantics: the rotation scenario ran at
-  // min(inter_site_m, rotation_inter_site_m). The adapter folds that rule
-  // into the spec's deployment, where it is now explicit.
-  ScenarioConfig rotation;
-  rotation.mobility = MobilityScenario::kRotation;
-  EXPECT_DOUBLE_EQ(to_spec(rotation).deployment.inter_site_m, 40.0);
-
-  rotation.rotation_inter_site_m = 30.0;
-  EXPECT_DOUBLE_EQ(to_spec(rotation).deployment.inter_site_m, 30.0);
-
-  rotation.mobility = MobilityScenario::kHumanWalk;
-  EXPECT_DOUBLE_EQ(to_spec(rotation).deployment.inter_site_m,
-                   rotation.deployment.inter_site_m);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace st::core

@@ -23,7 +23,7 @@
 namespace st {
 namespace {
 
-// ---- run_batch_parallel ---------------------------------------------------
+// ---- run_batch -------------------------------------------------------------
 
 core::ScenarioSpec short_spec() {
   return core::SpecBuilder(core::preset::paper_walk())
@@ -37,8 +37,8 @@ TEST(BatchRunnerStress, ParallelRunsMatchSerialUnderContention) {
   const std::vector<std::uint64_t> seeds = bench::seeds(12);
   const core::ScenarioSpec spec = short_spec();
 
-  const bench::Aggregate serial = bench::run_batch(spec, seeds);
-  const bench::Aggregate parallel = bench::run_batch_parallel(spec, seeds, 4);
+  const bench::Aggregate serial = bench::run_batch(spec, seeds, 1);
+  const bench::Aggregate parallel = bench::run_batch(spec, seeds, 4);
 
   EXPECT_EQ(serial.handover_success.successes(),
             parallel.handover_success.successes());
@@ -57,8 +57,8 @@ TEST(BatchRunnerStress, TracedParallelRunsAreIsolated) {
   spec.trace_buffer_capacity = 1 << 10;
 
   const std::vector<std::uint64_t> seeds = bench::seeds(8);
-  const bench::Aggregate parallel = bench::run_batch_parallel(spec, seeds, 4);
-  const bench::Aggregate serial = bench::run_batch(spec, seeds);
+  const bench::Aggregate parallel = bench::run_batch(spec, seeds, 4);
+  const bench::Aggregate serial = bench::run_batch(spec, seeds, 1);
   EXPECT_EQ(serial.handover_success.trials(),
             parallel.handover_success.trials());
 }
@@ -69,8 +69,8 @@ TEST(BatchRunnerStress, OversubscribedPoolDrainsEverySeed) {
   // still be absorbed exactly once (bit-identical to serial).
   const std::vector<std::uint64_t> seeds = bench::seeds(3);
   const core::ScenarioSpec spec = short_spec();
-  const bench::Aggregate parallel = bench::run_batch_parallel(spec, seeds, 16);
-  const bench::Aggregate serial = bench::run_batch(spec, seeds);
+  const bench::Aggregate parallel = bench::run_batch(spec, seeds, 16);
+  const bench::Aggregate serial = bench::run_batch(spec, seeds, 1);
   EXPECT_EQ(serial.handover_success.trials(),
             parallel.handover_success.trials());
   EXPECT_EQ(serial.alignment_fraction.count(),

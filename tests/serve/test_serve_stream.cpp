@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -263,42 +264,83 @@ TEST_F(ServeStream, StatsStreamSendsFullThenDeltas) {
 TEST_F(ServeStream, SlowReaderLosesOldestFramesAndIsTold) {
   start("slow");
   Client sub;
-  // Queue capacity 1: anything beyond the newest frame is dropped.
-  subscribe(sub, "events", 0, /*delta=*/true, /*queue=*/1);
+  // A reader that never reads: full (non-delta) stats snapshots at the
+  // shortest period fill the socket until the server's stream thread
+  // blocks in write_frame, and then the capacity-1 queue keeps only the
+  // newest bus frame.
+  subscribe(sub, "all", /*snapshot_period_ms=*/1, /*delta=*/false,
+            /*queue=*/1);
 
-  // Generate a burst of frames without reading: 3 jobs x 4+ frames each.
-  std::uint64_t last_id = 0;
-  for (int i = 0; i < 3; ++i) {
-    last_id = submit_job(
-        R"({"preset": "paper_walk", "overrides": {"duration_ms": 200}})");
+  const auto telemetry = [&](const char* field) {
+    const Value stats = client_.stats();
+    return u64_field(*stats.find("stats")->find("telemetry"), field);
+  };
+  const char* const job =
+      R"({"preset": "paper_walk", "overrides": {"duration_ms": 200}})";
+
+  // Probe jobs until one loses every frame it published: the stream
+  // thread did not pop at all while it ran, so it is blocked, and it stays
+  // blocked for as long as nobody reads.
+  std::uint64_t jobs_done = 0;
+  const auto fill_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (bool blocked = false; !blocked;) {
+    ASSERT_LT(std::chrono::steady_clock::now(), fill_deadline)
+        << "the stream thread never fell behind";
+    const std::uint64_t published = telemetry("published");
+    const std::uint64_t dropped = telemetry("dropped");
+    ASSERT_TRUE(client_.wait(submit_job(job)).has_value());
+    ++jobs_done;
+    blocked = telemetry("dropped") - dropped ==
+              telemetry("published") - published;
   }
-  ASSERT_TRUE(client_.wait(last_id).has_value());
-  // Let the stream thread push the backlog through the size-1 queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
+  // The burst under test, while the stream thread is blocked.
+  std::set<std::uint64_t> burst;
+  for (int i = 0; i < 3; ++i) {
+    burst.insert(submit_job(job));
+  }
+  for (const std::uint64_t id : burst) {
+    ASSERT_TRUE(client_.wait(id).has_value());
+    ++jobs_done;
+  }
+
+  // Drain. The stream thread sends one stats snapshot built after the
+  // burst, then the one bus frame its queue kept, then the next snapshot;
+  // after the second such snapshot every bus frame has been read.
   std::uint64_t dropped = 0;
   std::uint64_t received = 0;
+  int snapshots_after_burst = 0;
   bool closed = false;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!closed && std::chrono::steady_clock::now() < deadline) {
+  const auto drain_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (snapshots_after_burst < 2 && !closed &&
+         std::chrono::steady_clock::now() < drain_deadline) {
     const auto frame = sub.next_frame(/*timeout_ms=*/100, &closed);
     if (!frame.has_value()) {
-      break;  // drained
+      continue;
     }
-    ++received;
+    const Value* data = frame->find("data");
+    ASSERT_NE(data, nullptr);
+    if (frame->find("kind")->as_string() == "stats") {
+      if (u64_field(*data->find("counters"), "serve.jobs.done") == jobs_done) {
+        ++snapshots_after_burst;
+      }
+      continue;
+    }
     dropped += u64_field(*frame, "dropped");
+    if (burst.contains(u64_field(*data, "id"))) {
+      ++received;
+    }
   }
+  ASSERT_EQ(snapshots_after_burst, 2);
   // 3 jobs x (queued, running, ue_complete, done) = 12 bus frames; a
   // size-1 queue cannot have delivered them all.
   EXPECT_GT(dropped, 0U);
   EXPECT_LT(received, 12U);
 
   // The server-side ledger agrees someone lost frames.
-  const Value stats = client_.stats();
-  ASSERT_TRUE(ok(stats));
-  EXPECT_GE(u64_field(*stats.find("stats")->find("telemetry"), "dropped"),
-            dropped);
+  EXPECT_GE(telemetry("dropped"), dropped);
 }
 
 TEST_F(ServeStream, DisconnectMidStreamCleansUpAndServerStaysHealthy) {

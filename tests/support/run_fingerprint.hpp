@@ -1,5 +1,5 @@
 // One run fingerprint for the determinism pins (seed replay, serial ==
-// parallel, fleet == standalone, preset == legacy): the rendered
+// parallel, fleet == standalone, preset == explicit spec): the rendered
 // narrative, the protocol counter array, the handover outcomes and the
 // ground-truth series of a finished run, as one comparable string.
 //
