@@ -96,6 +96,7 @@ obs::FleetReport build_fleet_report(const core::ScenarioSpec& spec,
   LogLinearHistogram rach;
   LogLinearHistogram throughput;
   LogLinearHistogram outage;
+  obs::ProtocolCounters counters;
   report.rate_enabled = spec.rate.enabled;
 
   report.per_cell.resize(spec.n_cells);
@@ -180,9 +181,13 @@ obs::FleetReport build_fleet_report(const core::ScenarioSpec& spec,
     report.hard += row.hard;
     report.rach_attempts += row.rach_attempts;
     report.ping_pongs += row.ping_pongs;
+    counters.merge(ue_result.counters);
     report.ues.push_back(std::move(row));
   }
   report.ssb_observations = result.ssb_observations;
+  for (const auto& [name, value] : counters.nonzero()) {
+    report.counters[std::string(name)] = value;
+  }
   report.ping_pong_rate =
       report.handovers_successful > 0
           ? static_cast<double>(report.ping_pongs) /

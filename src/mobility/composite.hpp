@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -34,6 +35,14 @@ class RotatedModel final : public MobilityModel {
 
   [[nodiscard]] double speed_at(sim::Time t) const override {
     return base_->speed_at(t);
+  }
+
+  [[nodiscard]] MotionBound motion_bound(sim::Time t) const override {
+    MotionBound bound = base_->motion_bound(t);
+    if (bound.until > t) {
+      bound.yaw_rate_max_rad_per_s += std::abs(rate_);
+    }
+    return bound;
   }
 
  private:

@@ -8,10 +8,30 @@
 // jitter, waypoint draws) pre-draw it at construction from a seed.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+
 #include "common/pose.hpp"
 #include "sim/time.hpp"
 
 namespace st::mobility {
+
+/// A certificate on a model's motion over [from, until): the device
+/// position moves no faster than `v_max_mps`, its orientation stays a pure
+/// yaw, and that yaw turns no faster than `yaw_rate_max_rad_per_s`. The
+/// position and the yaw are continuous on the interval. `until == from`
+/// means no certificate. The link monitor turns these bounds into a bound
+/// on how fast the serving SNR can move (RadioEnvironment::
+/// certified_hold_until).
+struct MotionBound {
+  double v_max_mps = 0.0;
+  double yaw_rate_max_rad_per_s = 0.0;
+  sim::Time until;  ///< exclusive end of the certified interval
+
+  /// The end of time, for bounds that never expire.
+  static constexpr sim::Time kForever =
+      sim::Time::from_ns(std::numeric_limits<std::int64_t>::max());
+};
 
 class MobilityModel {
  public:
@@ -23,6 +43,12 @@ class MobilityModel {
 
   /// Instantaneous speed [m/s] at `t` (0 for purely rotational models).
   [[nodiscard]] virtual double speed_at(sim::Time t) const = 0;
+
+  /// Certified motion bound from `t` on. The default is no certificate
+  /// (`until == t`): trace playback and random waypoints keep it.
+  [[nodiscard]] virtual MotionBound motion_bound(sim::Time t) const {
+    return {.until = t};
+  }
 
  protected:
   MobilityModel() = default;
@@ -38,6 +64,9 @@ class Stationary final : public MobilityModel {
 
   [[nodiscard]] Pose pose_at(sim::Time) const override { return pose_; }
   [[nodiscard]] double speed_at(sim::Time) const override { return 0.0; }
+  [[nodiscard]] MotionBound motion_bound(sim::Time) const override {
+    return {.until = MotionBound::kForever};
+  }
 
  private:
   Pose pose_;

@@ -39,6 +39,11 @@ double DeviceRotation::yaw_at(sim::Time t) const noexcept {
   return wrap_pi(config_.initial_yaw_rad + offset);
 }
 
+MotionBound DeviceRotation::motion_bound(sim::Time) const {
+  return {.yaw_rate_max_rad_per_s = std::fabs(config_.rate_rad_per_s),
+          .until = MotionBound::kForever};
+}
+
 Pose DeviceRotation::pose_at(sim::Time t) const {
   Pose pose;
   pose.position = config_.position;

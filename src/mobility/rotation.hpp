@@ -24,6 +24,9 @@ class DeviceRotation final : public MobilityModel {
 
   [[nodiscard]] Pose pose_at(sim::Time t) const override;
   [[nodiscard]] double speed_at(sim::Time) const override { return 0.0; }
+  /// Standing still; the yaw turns at |rate| (the sweep's triangle wave
+  /// never turns faster).
+  [[nodiscard]] MotionBound motion_bound(sim::Time t) const override;
 
   /// Device yaw at time `t` (exposed for tests).
   [[nodiscard]] double yaw_at(sim::Time t) const noexcept;

@@ -45,20 +45,48 @@ sim::Duration VehicularRoute::traversal_time() const noexcept {
   return sim::Duration::seconds_of(total_length_m_ / config_.speed_mps);
 }
 
-Pose VehicularRoute::pose_at(sim::Time t) const {
-  const double travelled =
-      std::clamp(config_.speed_mps * std::max(0.0, t.seconds()), 0.0,
-                 total_length_m_);
+double VehicularRoute::travelled_m(sim::Time t) const noexcept {
+  return std::clamp(config_.speed_mps * std::max(0.0, t.seconds()), 0.0,
+                    total_length_m_);
+}
 
-  // Find the active segment (few segments; linear scan is fine and keeps
-  // the function trivially correct).
-  const Segment* seg = &segments_.back();
+const VehicularRoute::Segment& VehicularRoute::segment_at(
+    double travelled) const noexcept {
+  // Few segments; a linear scan is fine and keeps this trivially correct.
   for (const Segment& s : segments_) {
     if (travelled <= s.start_m + s.length_m) {
-      seg = &s;
-      break;
+      return s;
     }
   }
+  return segments_.back();
+}
+
+MotionBound VehicularRoute::motion_bound(sim::Time t) const {
+  const double wobble_rate =
+      kTwoPi * std::fabs(config_.yaw_wobble_hz * config_.yaw_wobble_rad);
+  const double travelled = travelled_m(t);
+  if (travelled == total_length_m_) {
+    // Parked at the route's end: only the wobble still moves.
+    return {.yaw_rate_max_rad_per_s = wobble_rate,
+            .until = MotionBound::kForever};
+  }
+  // Exactly on a waypoint the heading jumps right after t, so there is no
+  // certificate; otherwise the bound ends a microsecond short of the
+  // segment end, which keeps it clear of the rounding in segment_at.
+  const Segment& seg = segment_at(travelled);
+  const double end_m = seg.start_m + seg.length_m;
+  if (travelled == end_m) {
+    return {.until = t};
+  }
+  const double end_s = end_m / config_.speed_mps - 1e-6;
+  return {.v_max_mps = config_.speed_mps,
+          .yaw_rate_max_rad_per_s = wobble_rate,
+          .until = sim::Time::zero() + sim::Duration::seconds_of(end_s)};
+}
+
+Pose VehicularRoute::pose_at(sim::Time t) const {
+  const double travelled = travelled_m(t);
+  const Segment* seg = &segment_at(travelled);
   const double along = travelled - seg->start_m;
   const Vec3 dir = (seg->to - seg->from).normalized();
 

@@ -25,6 +25,10 @@ class VehicularRoute final : public MobilityModel {
 
   [[nodiscard]] Pose pose_at(sim::Time t) const override;
   [[nodiscard]] double speed_at(sim::Time t) const override;
+  /// Speed and the wobble's peak yaw rate, until the end of the current
+  /// segment: the heading jumps at every waypoint (a ping-pong shuttle
+  /// reverses there). Parked at the route's end, the bound never expires.
+  [[nodiscard]] MotionBound motion_bound(sim::Time t) const override;
 
   /// Total route length [m].
   [[nodiscard]] double route_length_m() const noexcept;
@@ -39,6 +43,12 @@ class VehicularRoute final : public MobilityModel {
     double length_m;
     double heading_rad;
   };
+
+  /// Distance along the route at `t`, clamped to the route.
+  [[nodiscard]] double travelled_m(sim::Time t) const noexcept;
+  /// The active segment at a travelled distance (the earlier one exactly
+  /// on a waypoint).
+  [[nodiscard]] const Segment& segment_at(double travelled) const noexcept;
 
   VehicularConfig config_;
   std::vector<Segment> segments_;

@@ -39,6 +39,10 @@ LinearWalk::LinearWalk(const WalkConfig& config, sim::Duration horizon,
     jitter_.push_back(x);
     x = rho * x + rng.normal(0.0, innovation);
   }
+  for (std::size_t i = 0; i + 1 < jitter_.size(); ++i) {
+    const double rate = std::fabs(jitter_[i + 1] - jitter_[i]) / dt;
+    max_jitter_rate_ = std::max(max_jitter_rate_, rate);
+  }
 }
 
 double LinearWalk::yaw_jitter_at(sim::Time t) const noexcept {
@@ -74,5 +78,13 @@ Pose LinearWalk::pose_at(sim::Time t) const {
 }
 
 double LinearWalk::speed_at(sim::Time) const { return config_.speed_mps; }
+
+MotionBound LinearWalk::motion_bound(sim::Time) const {
+  const double sway_speed =
+      kTwoPi * std::fabs(config_.sway_frequency_hz * config_.sway_amplitude_m);
+  return {.v_max_mps = config_.speed_mps + sway_speed,
+          .yaw_rate_max_rad_per_s = max_jitter_rate_,
+          .until = MotionBound::kForever};
+}
 
 }  // namespace st::mobility

@@ -43,6 +43,9 @@ class LinearWalk final : public MobilityModel {
 
   [[nodiscard]] Pose pose_at(sim::Time t) const override;
   [[nodiscard]] double speed_at(sim::Time t) const override;
+  /// Speed plus the sway's peak lateral speed 2*pi*f*A; the steepest
+  /// segment of the interpolated heading jitter. Never expires.
+  [[nodiscard]] MotionBound motion_bound(sim::Time t) const override;
 
   [[nodiscard]] const WalkConfig& config() const noexcept { return config_; }
 
@@ -52,6 +55,7 @@ class LinearWalk final : public MobilityModel {
   WalkConfig config_;
   std::vector<double> jitter_;  ///< sampled every jitter_dt_
   sim::Duration jitter_dt_ = sim::Duration::milliseconds(50);
+  double max_jitter_rate_ = 0.0;  ///< steepest jitter segment [rad/s]
 };
 
 }  // namespace st::mobility

@@ -1,9 +1,43 @@
 #include "net/environment.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace st::net {
+
+namespace {
+
+/// Longest hold one certificate grants (it also bounds how far the UE can
+/// move, and so how much the distances in the bound shrink).
+constexpr sim::Duration kMaxHold = sim::Duration::milliseconds(100);
+
+/// Margin withheld from every certificate. It covers the rounding of the
+/// computed SNR (the vectorised exp/cos kernels differ from the exact
+/// functions at the 1e-12 dB level), so a computed value never undercuts
+/// a bound that the exact one obeys.
+constexpr double kMarginSlackDb = 1e-6;
+
+/// Rate [rad/s] at which the azimuth towards a fixed point turns for a
+/// mover at speed `v` no nearer than `d_h` horizontally; +inf when the
+/// mover can reach the point.
+double turn_rate(double v, double d_h) noexcept {
+  return d_h > 0.0 ? v / d_h : std::numeric_limits<double>::infinity();
+}
+
+/// Gain-slope term [dB/s]; a flat pattern contributes nothing however
+/// fast the angle turns.
+double gain_rate(double slope_db_per_rad, double angle_rate) noexcept {
+  return slope_db_per_rad == 0.0 ? 0.0 : slope_db_per_rad * angle_rate;
+}
+
+double horizontal_distance(Vec3 a, Vec3 b) noexcept {
+  return std::hypot(a.x - b.x, a.y - b.y);
+}
+
+}  // namespace
 
 RadioEnvironment::RadioEnvironment(
     const EnvironmentConfig& config, std::vector<BaseStation> base_stations,
@@ -105,6 +139,64 @@ double RadioEnvironment::true_dl_rss_dbm(CellId cell, phy::BeamId tx_beam,
   return phy::snapshot_rx_power_dbm(snapshot_for(cell, t),
                                     station.codebook().beam(tx_beam),
                                     ue_codebook_.beam(ue_beam));
+}
+
+sim::Time RadioEnvironment::certified_hold_until(CellId cell,
+                                                 phy::BeamId tx_beam,
+                                                 phy::BeamId ue_beam,
+                                                 sim::Time t0,
+                                                 double margin_db) const {
+  const phy::Channel& link = channel(cell);
+  const double margin = margin_db - kMarginSlackDb;
+  const BaseStation& station = bs(cell);
+  const Quaternion& bs_orientation = station.pose().orientation;
+  if (link.coherent() || !(margin > 0.0) || bs_orientation.x != 0.0 ||
+      bs_orientation.y != 0.0) {
+    return t0;  // phases, no margin, or a tilted BS: nothing to certify
+  }
+  const double tx_slope =
+      station.codebook().beam(tx_beam).pattern().max_db_slope_per_rad();
+  const double rx_slope =
+      ue_codebook_.beam(ue_beam).pattern().max_db_slope_per_rad();
+  if (!std::isfinite(tx_slope) || !std::isfinite(rx_slope)) {
+    return t0;
+  }
+  const mobility::MotionBound motion = ue_mobility_->motion_bound(t0);
+  const sim::Time block_until = link.blockage().window(t0).until;
+  const sim::Time cap = std::min({t0 + kMaxHold, motion.until, block_until});
+  if (cap - t0 <= sim::Duration::nanoseconds(1)) {
+    return t0;  // a blockage ramp, or a mobility certificate at its end
+  }
+
+  const double v = motion.v_max_mps;
+  const double yaw_rate = motion.yaw_rate_max_rad_per_s;
+  const double span_s = (cap - t0).seconds();
+  const double shrink = v * span_s;
+  const Vec3 tx = station.pose().position;
+  const Vec3 rx = ue_pose(t0).position;
+  const phy::PathLoss& pathloss = link.pathloss();
+  const double shadow_slope = link.shadowing().gradient_bound_db_per_m();
+
+  // One path's |d dB/dt| bound: length-driven terms plus both gain terms.
+  const auto path_rate = [&](double length_m, double tx_turn, double rx_turn) {
+    const double pl_slope = pathloss.max_slope_db_per_m(length_m - shrink);
+    return v * (pl_slope + shadow_slope) + gain_rate(tx_slope, tx_turn) +
+           gain_rate(rx_slope, rx_turn);
+  };
+  const double los_turn = turn_rate(v, horizontal_distance(tx, rx) - shrink);
+  double rate = path_rate(distance(tx, rx), los_turn, yaw_rate + los_turn);
+  for (const phy::MultipathGeometry::Reflector& r :
+       link.multipath().reflectors()) {
+    const double arrival_turn =
+        yaw_rate + turn_rate(v, horizontal_distance(r.point, rx) - shrink);
+    const double length = distance(tx, r.point) + distance(r.point, rx);
+    rate = std::max(rate, path_rate(length, 0.0, arrival_turn));
+  }
+  if (!(rate < std::numeric_limits<double>::infinity())) {
+    return t0;
+  }
+  const double hold_s = rate > 0.0 ? std::min(margin / rate, span_s) : span_s;
+  return t0 + sim::Duration::seconds_of(hold_s);
 }
 
 double RadioEnvironment::interference_dbm(CellId wanted, phy::BeamId ue_beam,

@@ -168,6 +168,30 @@ class RadioEnvironment {
   [[nodiscard]] double true_dl_snr_db(CellId cell, phy::BeamId tx_beam,
                                       phy::BeamId ue_beam, sim::Time t) const;
 
+  /// Certified hold of a healthy link — the link monitor's skip rule.
+  /// Returns an instant `hold` such that for every t in [t0, hold) the
+  /// true DL SNR of (cell, tx_beam, ue_beam) stays within `margin_db` of
+  /// its value at t0. The bound S on |dSNR/dt| [dB/s] is the largest, over
+  /// the paths, of
+  ///   v*(path-loss slope + shadowing gradient)
+  ///     + tx-pattern slope * departure-angle rate
+  ///     + rx-pattern slope * arrival-angle rate,
+  /// because the dB slope of an incoherent power sum is a power-weighted
+  /// average of the path slopes. `v` and the yaw rate come from the UE
+  /// mobility's MotionBound. The LOS departure and arrival angles turn at
+  /// most v/d_h (plus the yaw rate at the UE); a reflected path leaves the
+  /// fixed BS towards a fixed reflector, so only its arrival turns. The
+  /// horizontal distances d_h and the path lengths are shrunk by the
+  /// distance the UE can cover before the hold ends. `hold` is capped at
+  /// 100 ms, the mobility certificate and the blockage window. No
+  /// certificate (`t0`) for coherent combining, beam patterns without a
+  /// finite slope bound (ULA), uncertified mobility, a blockage ramp, or
+  /// a BS whose orientation is not a pure yaw.
+  [[nodiscard]] sim::Time certified_hold_until(CellId cell, phy::BeamId tx_beam,
+                                               phy::BeamId ue_beam,
+                                               sim::Time t0,
+                                               double margin_db) const;
+
   /// Interference power [dBm] arriving at the mobile's beam `ue_beam` at
   /// time `t` from every cell other than `wanted` that is transmitting an
   /// SSB at that instant; -inf-like floor when nothing interferes.

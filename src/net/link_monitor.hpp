@@ -10,6 +10,16 @@
 //
 // Out-of-sync/in-sync counting (N310/N311-style) is collapsed to the
 // window for clarity; the window length plays the same role as T310.
+//
+// The check runs every `check_period`, but it evaluates the SNR only when
+// it has to. A healthy evaluation at t0 with margin m above the threshold
+// yields a certified hold (RadioEnvironment::certified_hold_until): no
+// SNR of the same beam pair can fall below the threshold before it ends.
+// A later tick inside the hold that sees the same serving TX beam and UE
+// RX beam is a healthy check without the evaluation. The beams are
+// compared at the tick, so no beam switch needs to wake the monitor, and
+// the tick schedule — and with it every outcome — is that of evaluating
+// every tick.
 #pragma once
 
 #include <functional>
@@ -47,9 +57,6 @@ class LinkMonitor {
 
   [[nodiscard]] bool monitoring() const noexcept { return running_; }
 
-  /// Most recent SNR check result [dB] (for diagnostics/examples).
-  [[nodiscard]] double last_snr_db() const noexcept { return last_snr_db_; }
-
   /// True while the link is currently below the data threshold (an outage
   /// possibly shorter than the failure window).
   [[nodiscard]] bool in_outage() const noexcept {
@@ -57,11 +64,13 @@ class LinkMonitor {
   }
 
   /// Recording sinks (not owned; may be null). Link events are
-  /// trace-only: outage entry and RLF, never the per-check samples.
+  /// trace-only: outage entry and RLF, never the per-check samples. Every
+  /// tick counts as kLinkChecksEvaluated or kLinkChecksCertified.
   void set_sinks(obs::Sinks sinks) { emit_.sinks = sinks; }
 
  private:
   void check();
+  void schedule_next();
 
   sim::Simulator& simulator_;
   RadioEnvironment& environment_;
@@ -72,9 +81,25 @@ class LinkMonitor {
   BeamProvider ue_beam_;
   FailureCallback on_failure_;
   std::optional<sim::Time> below_since_;
-  double last_snr_db_ = 0.0;
+  /// Certified hold of the last healthy evaluation and the beam pair it
+  /// covers; `hold_until_` at or before now means no certificate.
+  sim::Time hold_until_;
+  phy::BeamId held_tx_beam_ = phy::kInvalidBeam;
+  phy::BeamId held_rx_beam_ = phy::kInvalidBeam;
   sim::EventId tick_ = 0;
   obs::Emitter emit_{obs::Component::kLinkMonitor};
 };
+
+namespace invariants {
+
+/// A tick the monitor skipped under a certificate must really be healthy:
+/// the SNR evaluated at that tick is at or above the data threshold.
+/// Throws contracts::ContractViolation otherwise. Wired in as
+/// ST_INVARIANT, so it runs (and costs an evaluation per skipped tick)
+/// only in -DST_CHECK_INVARIANTS=ON builds.
+void check_link_certificate(double snr_db, double threshold_db, sim::Time now,
+                            sim::Time hold_until);
+
+}  // namespace invariants
 
 }  // namespace st::net

@@ -76,6 +76,10 @@ class JsonOut {
 
   [[nodiscard]] std::string take() {
     out_ += '\n';
+    // Appending grows the capacity geometrically, up to twice the text;
+    // the service stores one report per finished job, so hand over a
+    // string sized to its text.
+    out_.shrink_to_fit();
     return std::move(out_);
   }
 
@@ -169,6 +173,15 @@ void write_snapshot_cache(JsonOut& json, const SnapshotCacheReport& cache) {
   json.close();
 }
 
+void write_counters(JsonOut& json,
+                    const std::map<std::string, std::uint64_t>& counters) {
+  json.open("counters");
+  for (const auto& [name, value] : counters) {
+    json.field(name, value);
+  }
+  json.close();
+}
+
 }  // namespace
 
 HistogramSummary HistogramSummary::from(const LogLinearHistogram& h) {
@@ -252,12 +265,7 @@ std::string RunReport::to_json() const {
   json.close();
 
   write_snapshot_cache(json, snapshot_cache);
-
-  json.open("counters");
-  for (const auto& [name, value] : counters) {
-    json.field(name, value);
-  }
-  json.close();
+  write_counters(json, counters);
 
   json.open("gauges");
   for (const auto& [name, value] : gauges) {
@@ -406,6 +414,7 @@ std::string FleetReport::to_json() const {
   json.close();
 
   write_snapshot_cache(json, snapshot_cache);
+  write_counters(json, counters);
 
   json.open("timing");
   json.field("wall_seconds", wall_seconds);

@@ -235,6 +235,8 @@ struct FleetReport {
 
   EngineReport engine;  ///< merged across UEs
   SnapshotCacheReport snapshot_cache;
+  /// Protocol event counts summed across UEs (non-zero ones, by name).
+  std::map<std::string, std::uint64_t> counters;
 
   // Throughput (non-deterministic; equivalence tests ignore this block).
   double wall_seconds = 0.0;

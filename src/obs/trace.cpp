@@ -244,6 +244,8 @@ constexpr std::array<std::string_view, kProtocolCounterCount> kCounterNames = {
     "handover_failed",
     "initial_search_hits",
     "initial_search_misses",
+    "link_checks_certified",
+    "link_checks_evaluated",
     "neighbour_abandoned",
     "neighbour_crossovers",
     "neighbour_drop_events",

@@ -195,6 +195,8 @@ enum class ProtocolCounter : std::uint8_t {
   kHandoverFailed,
   kInitialSearchHits,
   kInitialSearchMisses,
+  kLinkChecksCertified,  ///< monitor ticks a hold certificate covered
+  kLinkChecksEvaluated,  ///< monitor ticks that evaluated the SNR
   kNeighbourAbandoned,
   kNeighbourCrossovers,
   kNeighbourDropEvents,
@@ -214,7 +216,7 @@ enum class ProtocolCounter : std::uint8_t {
   kServingUnreachable,
 };
 
-inline constexpr std::size_t kProtocolCounterCount = 24;
+inline constexpr std::size_t kProtocolCounterCount = 26;
 
 /// Report name: "bs_switch_requests", "bs_switches", ...
 [[nodiscard]] std::string_view to_string(ProtocolCounter counter) noexcept;
@@ -231,6 +233,13 @@ struct ProtocolCounters {
   }
   friend bool operator==(const ProtocolCounters&,
                          const ProtocolCounters&) = default;
+
+  /// Accumulate another run's counters (fleet-level aggregation).
+  void merge(const ProtocolCounters& other) noexcept {
+    for (std::size_t i = 0; i < kProtocolCounterCount; ++i) {
+      values[i] += other.values[i];
+    }
+  }
 
   /// (name, value) of every counter that fired, in name order.
   [[nodiscard]] std::vector<std::pair<std::string_view, std::uint64_t>>

@@ -1,6 +1,7 @@
 #include "phy/beam_pattern.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/angles.hpp"
@@ -74,6 +75,10 @@ double BeamPattern::gain_linear(double offset_rad) const noexcept {
   return from_db(gain_dbi(offset_rad));
 }
 
+double BeamPattern::max_db_slope_per_rad() const noexcept {
+  return std::numeric_limits<double>::infinity();
+}
+
 void BeamPattern::gain_linear_batch(const double* offsets, double* out,
                                     std::size_t n) const noexcept {
   for (std::size_t i = 0; i < n; ++i) {
@@ -119,6 +124,8 @@ GaussianPattern::GaussianPattern(double hpbw_rad, double sidelobe_floor_db)
 
   peak_linear_ = kTwoPi / integral;
   floor_linear_ = rel_floor * peak_linear_;
+  max_db_slope_ = (10.0 / std::log(10.0)) *
+                  std::sqrt(2.0 * std::log(1.0 / rel_floor)) / sigma_;
 }
 
 double GaussianPattern::gain_dbi(double offset_rad) const noexcept {

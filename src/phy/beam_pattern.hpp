@@ -57,6 +57,12 @@ class BeamPattern {
   /// Peak (boresight) gain [dBi].
   [[nodiscard]] virtual double peak_gain_dbi() const noexcept = 0;
 
+  /// Bound on |d gain_dbi / d offset| [dB/rad] over every offset: the
+  /// gain-vs-angle slope the link monitor's hold certificate rests on.
+  /// The default is +infinity (no bound): a ULA's nulls fall to the
+  /// 1e-6 clamp with unbounded dB slopes beside them.
+  [[nodiscard]] virtual double max_db_slope_per_rad() const noexcept;
+
  protected:
   BeamPattern() = default;
   BeamPattern(const BeamPattern&) = default;
@@ -75,6 +81,9 @@ class OmniPattern final : public BeamPattern {
                          std::size_t n) const noexcept override;
   [[nodiscard]] double hpbw_rad() const noexcept override;
   [[nodiscard]] double peak_gain_dbi() const noexcept override { return 0.0; }
+  [[nodiscard]] double max_db_slope_per_rad() const noexcept override {
+    return 0.0;
+  }
 };
 
 /// Gaussian main lobe of given half-power beamwidth over a constant
@@ -91,6 +100,12 @@ class GaussianPattern final : public BeamPattern {
                          std::size_t n) const noexcept override;
   [[nodiscard]] double hpbw_rad() const noexcept override { return hpbw_; }
   [[nodiscard]] double peak_gain_dbi() const noexcept override;
+  /// The lobe's dB slope (10/ln10)*theta/sigma^2 is steepest where it
+  /// meets the floor, at theta = sigma*sqrt(2*ln(1/floor_rel)):
+  /// (10/ln10) * sqrt(2*ln(1/floor_rel)) / sigma. Flat below the floor.
+  [[nodiscard]] double max_db_slope_per_rad() const noexcept override {
+    return max_db_slope_;
+  }
 
  private:
   double hpbw_;
@@ -98,6 +113,7 @@ class GaussianPattern final : public BeamPattern {
   double peak_linear_;     // boresight linear gain
   double floor_linear_;    // sidelobe floor linear gain (absolute, not
                            // relative) after normalisation
+  double max_db_slope_;    // see max_db_slope_per_rad()
 };
 
 /// Physical pattern of an N-element half-wavelength ULA steered to

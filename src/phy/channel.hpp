@@ -138,6 +138,8 @@ class Channel {
                                               sim::Time t,
                                               double tx_power_dbm) const;
 
+  [[nodiscard]] bool coherent() const noexcept { return coherent_; }
+  [[nodiscard]] const PathLoss& pathloss() const noexcept { return pathloss_; }
   [[nodiscard]] const BlockageProcess& blockage() const noexcept {
     return blockage_;
   }

@@ -47,4 +47,15 @@ double PathLoss::loss_db(double distance_m) const noexcept {
   return loss + config_.oxygen_db_per_m * d;
 }
 
+double PathLoss::max_slope_db_per_m(double d_min_m) const noexcept {
+  double per_decade = 20.0;  // free space
+  if (config_.model == PathLossModel::kUmiStreetCanyonLos) {
+    per_decade = 21.0;
+  } else if (config_.model == PathLossModel::kUmiStreetCanyonNlos) {
+    per_decade = 35.3;  // the steeper of the two terms under the max
+  }
+  return per_decade / (std::log(10.0) * std::max(d_min_m, 1.0)) +
+         config_.oxygen_db_per_m;
+}
+
 }  // namespace st::phy

@@ -32,6 +32,11 @@ class PathLoss {
   /// below 1 m clamp to 1 m (model validity floor).
   [[nodiscard]] double loss_db(double distance_m) const noexcept;
 
+  /// Bound on |d loss_db / d distance| [dB/m] over distances >= `d_min_m`:
+  /// the model's log-distance slope (20, 21 or 35.3 dB/decade) at the
+  /// nearer of `d_min_m` and the 1 m floor, plus the oxygen term.
+  [[nodiscard]] double max_slope_db_per_m(double d_min_m) const noexcept;
+
   [[nodiscard]] PathLossModel model() const noexcept { return config_.model; }
 
  private:

@@ -34,7 +34,10 @@ ShadowingProcess::ShadowingProcess(const ShadowingConfig& config,
     ky_[i] = k.y;
     kz_[i] = k.z;
     phases_[i] = rng.uniform(0.0, kTwoPi);
+    gradient_bound_db_per_m_ += magnitude;
   }
+  gradient_bound_db_per_m_ *=
+      config.sigma_db * std::sqrt(2.0 / static_cast<double>(kComponents));
 }
 
 double ShadowingProcess::sample_db(Vec3 position) const noexcept {

@@ -37,6 +37,12 @@ class ShadowingProcess {
 
   [[nodiscard]] double sigma_db() const noexcept { return config_.sigma_db; }
 
+  /// Bound on the field's gradient magnitude [dB/m]:
+  /// sigma * sqrt(2/K) * sum_i |k_i| over the drawn wavevectors.
+  [[nodiscard]] double gradient_bound_db_per_m() const noexcept {
+    return gradient_bound_db_per_m_;
+  }
+
  private:
   static constexpr std::size_t kComponents = 48;
 
@@ -47,6 +53,7 @@ class ShadowingProcess {
   std::array<double, kComponents> ky_{};
   std::array<double, kComponents> kz_{};
   std::array<double, kComponents> phases_{};
+  double gradient_bound_db_per_m_ = 0.0;
 };
 
 }  // namespace st::phy

@@ -237,6 +237,32 @@ TEST(CheckedRuns, EnforcementDoesNotChangeResults) {
   EXPECT_EQ(enforced.counters, unenforced.counters);
 }
 
+TEST(CheckedRuns, LinkCertificateLegEvaluatesEveryCertifiedTick) {
+  // The checker leg evaluates the serving SNR at every tick the link
+  // monitor skipped under a certificate (one snapshot query each) and
+  // checks it is healthy; compiled out, the skipped ticks query nothing.
+  const ScenarioSpec spec = checked_spec(ProtocolKind::kSilentTracker);
+  const auto queries = [](const ScenarioResult& r) {
+    return r.snapshot_cache.hits + r.snapshot_cache.rebuilds();
+  };
+  const std::uint64_t before = contracts::violation_count();
+  ScenarioResult enforced, unenforced;
+  {
+    const contracts::EnforcementGuard guard{true};
+    enforced = run_scenario(spec);
+  }
+  {
+    const contracts::EnforcementGuard guard{false};
+    unenforced = run_scenario(spec);
+  }
+  EXPECT_EQ(contracts::violation_count(), before);
+  const std::uint64_t certified =
+      enforced.counters[obs::ProtocolCounter::kLinkChecksCertified];
+  EXPECT_GT(certified, 0U);
+  EXPECT_EQ(queries(enforced) - queries(unenforced),
+            contracts::compiled_in() ? certified : 0U);
+}
+
 TEST(ValueInvariants, DecisionMustTargetANeighborListMember) {
   const net::NeighborList neighbors{1, 2, 4};
   EXPECT_NO_THROW(inv::check_decision_in_neighbor_list(0, 2, neighbors));

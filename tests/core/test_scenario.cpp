@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/scenario_spec.hpp"
+#include "net/link_monitor.hpp"
+#include "sim/simulator.hpp"
 #include "support/run_fingerprint.hpp"
 
 namespace st::core {
@@ -154,6 +158,56 @@ TEST(Scenario, UlaCodebookFlagChangesCodebook) {
       SpecBuilder().duration(10'000_ms).seed(7).ue(profile).build();
   const ScenarioResult r = run_scenario(spec);
   EXPECT_FALSE(r.counters.nonzero().empty());
+}
+
+TEST(Scenario, EveryLinkMonitorTickIsCertifiedOrEvaluated) {
+  // A LinkMonitor over a paper_walk UE's environment, its beam pair
+  // following the true best pair every SSB period, as BeamSurfer's
+  // tracking would.
+  const ScenarioSpec spec =
+      SpecBuilder(preset::paper_walk()).duration(2500_ms).seed(7).build();
+  const net::Deployment deployment = make_deployment(spec);
+  const auto env = make_ue_environment(spec, 0, deployment);
+  const auto best = env->ground_truth_best_pair(0, sim::Time::zero());
+  env->bs_mutable(0).set_serving_tx_beam(best.tx_beam);
+  sim::Simulator simulator;
+  phy::BeamId rx = best.rx_beam;
+  std::function<void()> follow = [&] {
+    const auto pair = env->ground_truth_best_pair(0, simulator.now());
+    env->bs_mutable(0).set_serving_tx_beam(pair.tx_beam);
+    rx = pair.rx_beam;
+    simulator.schedule_after(20_ms, follow);
+  };
+  simulator.schedule_after(20_ms, follow);
+
+  net::LinkMonitor monitor(simulator, *env, net::LinkMonitorConfig{});
+  obs::ProtocolCounters counters;
+  monitor.set_sinks({.counters = &counters});
+  bool failed = false;
+  monitor.start(0, [&rx] { return rx; }, [&failed] { failed = true; });
+  simulator.run_until(sim::Time::zero() + spec.duration);
+  ASSERT_FALSE(failed);
+  const std::uint64_t certified =
+      counters[obs::ProtocolCounter::kLinkChecksCertified];
+  const std::uint64_t evaluated =
+      counters[obs::ProtocolCounter::kLinkChecksEvaluated];
+  EXPECT_EQ(certified + evaluated, 2501U);  // ticks at 0, 1, ..., 2500 ms
+  EXPECT_GT(certified, 0U);
+}
+
+TEST(Scenario, LinkChecksCertifiedExceptWithUlaCodebooks) {
+  UeProfile profile = preset::walking_ue();
+  const ScenarioResult gaussian = run_scenario(
+      SpecBuilder().duration(5'000_ms).seed(7).ue(profile).build());
+  EXPECT_GT(gaussian.counters[obs::ProtocolCounter::kLinkChecksCertified], 0U);
+  EXPECT_GT(gaussian.counters[obs::ProtocolCounter::kLinkChecksEvaluated], 0U);
+
+  // A ULA pattern has no finite dB slope bound: every tick evaluates.
+  profile.ue_ula_codebook = true;
+  const ScenarioResult ula = run_scenario(
+      SpecBuilder().duration(5'000_ms).seed(7).ue(profile).build());
+  EXPECT_EQ(ula.counters[obs::ProtocolCounter::kLinkChecksCertified], 0U);
+  EXPECT_GT(ula.counters[obs::ProtocolCounter::kLinkChecksEvaluated], 0U);
 }
 
 TEST(Scenario, AlignmentUntilFirstHandoverStopsAtCompletion) {

@@ -222,6 +222,15 @@ TEST(FleetReport, AggregatesPerUeRowsAndTotals) {
   EXPECT_EQ(report.ssb_observations, ssb);
   EXPECT_EQ(report.ssb_observations, result.ssb_observations);
 
+  // Protocol counters are summed across UEs, the link monitor's work
+  // counts among them.
+  std::uint64_t certified = 0;
+  for (const core::ScenarioResult& r : result.ue_results) {
+    certified += r.counters[obs::ProtocolCounter::kLinkChecksCertified];
+  }
+  EXPECT_GT(certified, 0u);
+  EXPECT_EQ(report.counters.at("link_checks_certified"), certified);
+
   // Rendering round-trips: the JSON carries the schema and one object per
   // UE; the human summary mentions the fleet size.
   const std::string json = report.to_json();

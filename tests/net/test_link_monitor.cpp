@@ -24,7 +24,7 @@ TEST(LinkMonitor, HealthyLinkNeverFails) {
   sim.run_until(Time::zero() + 2000_ms);
   EXPECT_FALSE(failed);
   EXPECT_TRUE(monitor.monitoring());
-  EXPECT_GT(monitor.last_snr_db(),
+  EXPECT_GT(env.true_dl_snr_db(0, best.tx_beam, best.rx_beam, sim.now()),
             env.link_budget().config().data_threshold_snr_db);
   monitor.stop();
   EXPECT_FALSE(monitor.monitoring());
