@@ -59,6 +59,26 @@ void BM_GaussianGainLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianGainLookup);
 
+void BM_GaussianGain(benchmark::State& state) {
+  // One linear gain of the paper's 20 deg pattern, Arg 0 inside the main
+  // lobe (exp evaluated), Arg 1 beyond the lobe/floor crossing (the floor
+  // returned without exp).
+  const phy::GaussianPattern pattern(deg_to_rad(20.0));
+  const bool floor = state.range(0) != 0;
+  const double lo = floor ? 1.0 : -0.15;
+  const double hi = floor ? 3.0 : 0.15;
+  const double step = (hi - lo) / 1024.0;
+  double theta = lo;
+  for (auto _ : state) {
+    theta += step;
+    if (theta > hi) {
+      theta = lo;
+    }
+    benchmark::DoNotOptimize(pattern.gain_linear(theta));
+  }
+}
+BENCHMARK(BM_GaussianGain)->Arg(0)->Arg(1);
+
 void BM_CodebookBestBeam(benchmark::State& state) {
   const phy::Codebook cb =
       phy::Codebook::from_beamwidth_deg(static_cast<double>(state.range(0)));
@@ -141,6 +161,24 @@ void BM_BestBeamPairSnapshot(benchmark::State& state) {
       static_cast<std::int64_t>(f.bs_codebook.size() * f.ue_codebook.size()));
 }
 BENCHMARK(BM_BestBeamPairSnapshot);
+
+void BM_SnapshotRxPower(benchmark::State& state) {
+  // One (TX beam, RX beam) pair over a warm snapshot — the cost of every
+  // SSB observation and link check once its snapshot is current. The RX
+  // beam cycles through the codebook, so most paths land on the floor.
+  SweepFixture f;
+  phy::PathSnapshot snapshot;
+  f.channel.make_snapshot(f.tx, f.rx, sim::Time::from_ns(1'000'000), 13.0,
+                          snapshot);
+  const phy::Beam& tx_beam = f.bs_codebook.beam(0);
+  std::size_t rx = 0;
+  for (auto _ : state) {
+    rx = rx + 1 == f.ue_codebook.size() ? 0 : rx + 1;
+    benchmark::DoNotOptimize(phy::snapshot_rx_power_dbm(
+        snapshot, tx_beam, f.ue_codebook.beam(static_cast<phy::BeamId>(rx))));
+  }
+}
+BENCHMARK(BM_SnapshotRxPower);
 
 void BM_SnapshotBuild(benchmark::State& state) {
   SweepFixture f;

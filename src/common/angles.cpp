@@ -5,8 +5,24 @@
 namespace st {
 
 double wrap_pi(double rad) noexcept {
-  double w = std::remainder(rad, kTwoPi);
-  // std::remainder returns values in [-pi, pi]; map -pi to +pi so the
+  // Exact fast paths for std::remainder(rad, kTwoPi), bit for bit (the
+  // beam-gain hot path wraps offsets that almost always lie within one
+  // turn). remainder subtracts n * kTwoPi with n = rad / kTwoPi rounded to
+  // nearest, ties to even:
+  //  * |rad| <= pi: |rad / kTwoPi| <= 1/2 (kTwoPi is exactly 2 * kPi), so
+  //    n = 0 — the half-way case rounds to the even 0 — and the result is
+  //    rad itself, signed zeros included.
+  //  * pi < |rad| < 2*pi: n = +-1, and rad -+ kTwoPi is exact by
+  //    Sterbenz's lemma (kTwoPi / 2 <= |rad| <= 2 * kTwoPi).
+  // Everything else — |rad| >= 2*pi, infinities, NaN — takes remainder.
+  const double mag = std::fabs(rad);
+  double w = rad;
+  if (mag > kPi && mag < kTwoPi) {
+    w = rad > 0.0 ? rad - kTwoPi : rad + kTwoPi;
+  } else if (!(mag <= kPi)) {
+    w = std::remainder(rad, kTwoPi);
+  }
+  // Each branch returns values in [-pi, pi]; map -pi to +pi so the
   // result lies in (-pi, pi] and wrap_pi(pi) == pi.
   if (w <= -kPi) {
     w += kTwoPi;

@@ -92,6 +92,15 @@ RadioEnvironment::RadioEnvironment(
   snapshot_cache_.resize(base_stations_.size());
 }
 
+Pose RadioEnvironment::ue_pose(sim::Time t) const {
+  if (!pose_memo_valid_ || pose_memo_t_ != t) {
+    pose_memo_ = ue_mobility_->pose_at(t);
+    pose_memo_t_ = t;
+    pose_memo_valid_ = true;
+  }
+  return pose_memo_;
+}
+
 const phy::PathSnapshot& RadioEnvironment::snapshot_for(CellId cell,
                                                         sim::Time t) const {
   const BaseStation& station = base_stations_[cell];

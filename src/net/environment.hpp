@@ -132,9 +132,10 @@ class RadioEnvironment {
     return config_;
   }
 
-  [[nodiscard]] Pose ue_pose(sim::Time t) const {
-    return ue_mobility_->pose_at(t);
-  }
+  /// The mobile's pose at `t`. Memoised on the last instant asked for:
+  /// pose_at is a pure function of t (see phy/snapshot_cache.hpp), and a
+  /// metric tick asks for the same instant once per cell it refreshes.
+  [[nodiscard]] Pose ue_pose(sim::Time t) const;
 
   // ---- In-band interface (protocols) -----------------------------------
 
@@ -270,6 +271,10 @@ class RadioEnvironment {
   mutable SnapshotCacheStats snapshot_stats_;
   /// Per-component reuse accounting fed by Channel::update_snapshot.
   mutable phy::SnapshotBuildStats build_stats_;
+  /// ue_pose memo: the pose at pose_memo_t_, when pose_memo_valid_.
+  mutable bool pose_memo_valid_ = false;
+  mutable sim::Time pose_memo_t_;
+  mutable Pose pose_memo_;
 
   Rng measurement_rng_;
   Rng detection_rng_;

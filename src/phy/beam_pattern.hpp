@@ -114,6 +114,7 @@ class GaussianPattern final : public BeamPattern {
   double floor_linear_;    // sidelobe floor linear gain (absolute, not
                            // relative) after normalisation
   double max_db_slope_;    // see max_db_slope_per_rad()
+  double floor_theta2_;    // theta^2 beyond which the gain is the floor
 };
 
 /// Physical pattern of an N-element half-wavelength ULA steered to

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 
 #include "common/angles.hpp"
 #include "common/units.hpp"
@@ -36,6 +37,12 @@ namespace {
 
 bool same_orientation(const Quaternion& a, const Quaternion& b) noexcept {
   return a.w == b.w && a.x == b.x && a.y == b.y && a.z == b.z;
+}
+
+/// Bitwise, not `==`: the azimuth of a direction tells signed zeros apart
+/// (atan2(+-0, -1) == +-pi).
+bool same_bits(Vec3 a, Vec3 b) noexcept {
+  return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
 }
 
 }  // namespace
@@ -90,42 +97,44 @@ void Channel::update_snapshot(const Pose& tx_pose, const Pose& rx_pose,
     r.block_until = w.until;
   }
 
-  if (!geometry_ok) {
-    r.departure.clear();
-    r.arrival.clear();
-    r.length_m.clear();
-    r.extra_loss_db.clear();
-    r.path_loss_db.clear();
-    r.phase_cos.clear();
-    r.phase_sin.clear();
-    r.is_los.clear();
-    multipath_.visit_paths(
-        tx_pose.position, rx_pose.position, [&](const PropagationPath& path) {
-          r.departure.push_back(path.departure_world);
-          r.arrival.push_back(path.arrival_world);
-          r.length_m.push_back(path.length_m);
-          r.extra_loss_db.push_back(path.extra_loss_db);
-          r.path_loss_db.push_back(pathloss_.loss_db(path.length_m));
-          if (coherent_) {
-            const double phase =
-                kTwoPi * std::fmod(path.length_m / wavelength_m_, 1.0);
-            r.phase_cos.push_back(std::cos(phase));
-            r.phase_sin.push_back(std::sin(phase));
-          } else {
-            r.phase_cos.push_back(0.0);
-            r.phase_sin.push_back(0.0);
-          }
-          r.is_los.push_back(path.is_los ? 1 : 0);
-        });
-  }
-  const std::size_t n = r.length_m.size();
-
+  const std::size_t n = 1 + multipath_.reflectors().size();
   out.coherent = coherent_;
   out.resize(n);
 
   // Body-frame azimuths: world-frame directions survive any delta that
-  // keeps both positions; rotations re-project the cached directions.
-  if (!(geometry_ok && tx_orient_ok)) {
+  // keeps both positions; rotations re-project the cached directions. A
+  // moved position re-derives the geometry, but a path whose departure
+  // direction came out unchanged keeps its TX azimuth under an unchanged
+  // TX orientation — a reflected path leaves the TX towards a fixed
+  // reflector, so an RX-only move re-projects only the LOS departure. The
+  // cached direction is compared before it is overwritten.
+  if (!geometry_ok) {
+    r.resize(n);
+    std::size_t p = 0;
+    multipath_.visit_paths(
+        tx_pose.position, rx_pose.position, [&](const PropagationPath& path) {
+          const Vec3 departure = path.departure_world;
+          if (!(tx_orient_ok && same_bits(r.departure[p], departure))) {
+            out.tx_az[p] = tx_pose.to_body_frame(departure).azimuth();
+          }
+          r.departure[p] = departure;
+          r.arrival[p] = path.arrival_world;
+          r.length_m[p] = path.length_m;
+          r.extra_loss_db[p] = path.extra_loss_db;
+          r.path_loss_db[p] = pathloss_.loss_db(path.length_m);
+          if (coherent_) {
+            const double phase =
+                kTwoPi * std::fmod(path.length_m / wavelength_m_, 1.0);
+            r.phase_cos[p] = std::cos(phase);
+            r.phase_sin[p] = std::sin(phase);
+          } else {
+            r.phase_cos[p] = 0.0;
+            r.phase_sin[p] = 0.0;
+          }
+          r.is_los[p] = path.is_los ? 1 : 0;
+          ++p;
+        });
+  } else if (!tx_orient_ok) {
     for (std::size_t p = 0; p < n; ++p) {
       out.tx_az[p] = tx_pose.to_body_frame(r.departure[p]).azimuth();
     }

@@ -17,8 +17,9 @@
 // shadowing/blockage state, phases) together with the poses they were
 // computed for, so Channel::update_snapshot can recompute only the
 // components an actual pose/time delta invalidates. A pure rotation
-// refreshes nothing but the RX azimuths; a time step inside the same
-// blockage window with an unchanged pose refreshes nothing at all.
+// refreshes nothing but the RX azimuths; an RX-only move keeps the TX
+// azimuths of the reflected paths; a time step inside the same blockage
+// window with an unchanged pose refreshes nothing at all.
 //
 // Equivalence with the naive per-call formulation (kept as
 // Channel::rx_power_dbm_naive) is pinned to <= 1e-9 dB by
@@ -95,6 +96,18 @@ struct SnapshotReuse {
   double block_db = 0.0;   ///< valid for t in [block_from, block_until)
   sim::Time block_from;
   sim::Time block_until;
+
+  /// Resize every geometry array; storage is reused across rebuilds.
+  void resize(std::size_t n) {
+    departure.resize(n);
+    arrival.resize(n);
+    length_m.resize(n);
+    extra_loss_db.resize(n);
+    path_loss_db.resize(n);
+    phase_cos.resize(n);
+    phase_sin.resize(n);
+    is_los.resize(n);
+  }
 };
 
 /// Per-component accounting of update_snapshot, surfaced through

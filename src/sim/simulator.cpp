@@ -32,40 +32,52 @@ EventId Simulator::schedule_after(Duration delay, EventFn fn) {
 }
 
 EventId Simulator::schedule_periodic(Time first, Duration period, EventFn fn) {
-  // Each occurrence runs the payload, schedules the next occurrence, and
-  // records the pending id under the chain's first id so
-  // cancel_periodic() can always find the live event. The recursive
-  // closure owns itself via shared_ptr.
-  struct Chain {
-    Duration period;
-    EventFn fn;
-    EventId first_id = 0;
-  };
-  auto chain = std::make_shared<Chain>(Chain{period, std::move(fn), 0});
-  auto recur = std::make_shared<std::function<void()>>();
-  *recur = [this, chain, recur]() {
-    chain->fn();
-    const EventId next =
-        queue_.push(now_ + chain->period, [recur]() { (*recur)(); });
-    note_queue_depth();
-    periodic_current_[chain->first_id] = next;
-  };
-
-  const EventId first_id = schedule_at(first, [recur]() { (*recur)(); });
-  chain->first_id = first_id;
-  periodic_current_[first_id] = first_id;
+  // The simulator owns the chain; each occurrence holds only a pointer to
+  // it, so destroying the simulator releases every chain.
+  auto chain = std::make_unique<PeriodicChain>();
+  chain->period = period;
+  chain->fn = std::move(fn);
+  PeriodicChain* c = chain.get();
+  const EventId first_id = schedule_at(first, [this, c] { run_periodic(*c); });
+  c->first_id = first_id;
+  c->pending = first_id;
+  periodic_.emplace(first_id, std::move(chain));
   return first_id;
+}
+
+void Simulator::run_periodic(PeriodicChain& chain) {
+  // Payload first, then the next occurrence: the order every
+  // same-instant tie and the queue high-water mark are pinned against.
+  chain.running = true;
+  chain.fn();
+  chain.running = false;
+  if (chain.cancelled) {
+    periodic_.erase(chain.first_id);  // cancelled by its own payload
+    return;
+  }
+  PeriodicChain* c = &chain;
+  chain.pending =
+      queue_.push(now_ + chain.period, [this, c] { run_periodic(*c); });
+  note_queue_depth();
 }
 
 bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 void Simulator::cancel_periodic(EventId first_id) {
-  const auto it = periodic_current_.find(first_id);
-  if (it == periodic_current_.end()) {
+  const auto it = periodic_.find(first_id);
+  if (it == periodic_.end()) {
     return;
   }
-  queue_.cancel(it->second);
-  periodic_current_.erase(it);
+  PeriodicChain& chain = *it->second;
+  if (chain.running) {
+    // Called from the chain's own payload: its occurrence is already
+    // popped and the closure is executing, so the chain is dropped once
+    // the payload returns instead of being re-armed.
+    chain.cancelled = true;
+    return;
+  }
+  queue_.cancel(chain.pending);
+  periodic_.erase(it);
 }
 
 void Simulator::run_until(Time end) { run_until(end, nullptr); }

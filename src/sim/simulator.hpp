@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <unordered_map>
 
 #include "common/stats.hpp"
 #include "sim/cancel.hpp"
@@ -69,7 +71,8 @@ class Simulator {
 
   /// Schedule `fn` every `period`, starting at `first`. The callback
   /// receives no arguments; read now() for the tick time. Returns the id
-  /// of the *first* occurrence; cancel_periodic() stops the chain.
+  /// of the *first* occurrence; cancel_periodic() stops the chain, also
+  /// from inside its own callback.
   EventId schedule_periodic(Time first, Duration period, EventFn fn);
 
   /// Cancel a pending one-shot event.
@@ -124,9 +127,19 @@ class Simulator {
   EngineStats stats_;
   LogLinearHistogram* dispatch_us_ = nullptr;
 
-  // Periodic chains: maps the user-visible first id to the id of the
-  // currently pending occurrence.
-  std::unordered_map<EventId, EventId> periodic_current_;
+  // A periodic chain, owned here and keyed by its user-visible first id;
+  // its queued occurrence holds a plain pointer to it.
+  struct PeriodicChain {
+    Duration period;
+    EventFn fn;
+    EventId first_id = 0;
+    EventId pending = 0;     // id of the queued occurrence
+    bool running = false;    // payload executing right now
+    bool cancelled = false;  // cancelled from its own payload
+  };
+  void run_periodic(PeriodicChain& chain);
+
+  std::unordered_map<EventId, std::unique_ptr<PeriodicChain>> periodic_;
 };
 
 }  // namespace st::sim

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace st {
 namespace {
@@ -69,6 +74,54 @@ TEST(Angles, AngularLerpTakesShortArc) {
   const double b = deg_to_rad(-170.0);
   const double mid = angular_lerp(a, b, 0.5);
   EXPECT_NEAR(angular_distance(mid, deg_to_rad(180.0)), 0.0, 1e-9);
+}
+
+/// The formula wrap_pi had before its fast paths, spelled out: remainder
+/// against 2*pi, then -pi mapped to +pi.
+double wrap_pi_by_remainder(double rad) {
+  double w = std::remainder(rad, kTwoPi);
+  if (w <= -kPi) {
+    w += kTwoPi;
+  }
+  return w;
+}
+
+/// Same bits, so signed zeros count (NaNs are matched as NaNs below).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Angles, WrapPiMatchesRemainderBitForBit) {
+  std::vector<double> inputs;
+  Rng rng(20211);
+  for (int i = 0; i < 1'000'000; ++i) {
+    inputs.push_back(rng.uniform(-4.0 * kPi, 4.0 * kPi));
+  }
+  // Both sides of every branch boundary, a few ulps deep.
+  for (const double edge : {kPi, -kPi, kTwoPi, -kTwoPi}) {
+    double up = edge;
+    double down = edge;
+    inputs.push_back(edge);
+    for (int i = 0; i < 8; ++i) {
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+      inputs.push_back(up);
+      inputs.push_back(down);
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const double special :
+       {0.0, -0.0, tiny, -tiny, std::numeric_limits<double>::min() / 2.0, inf,
+        -inf, std::numeric_limits<double>::quiet_NaN(), 1e300, -1e300}) {
+    inputs.push_back(special);
+  }
+  for (const double x : inputs) {
+    const double want = wrap_pi_by_remainder(x);
+    const double got = wrap_pi(x);
+    ASSERT_TRUE(same_bits(got, want) || (std::isnan(got) && std::isnan(want)))
+        << "x = " << x << ": got " << got << ", want " << want;
+  }
 }
 
 /// Property sweep: wrap_pi output is always in (-pi, pi] and preserves the

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/angles.hpp"
 #include "common/units.hpp"
 
@@ -47,6 +52,61 @@ TEST(GaussianPattern, InvalidArgumentsThrow) {
   EXPECT_THROW(GaussianPattern(7.0), std::invalid_argument);  // > 2*pi
   EXPECT_THROW(GaussianPattern(deg_to_rad(20.0), 0.0), std::invalid_argument);
   EXPECT_THROW(GaussianPattern(deg_to_rad(20.0), 5.0), std::invalid_argument);
+}
+
+TEST(GaussianPattern, FloorShortcutMatchesReferenceBitForBit) {
+  // gain_linear returns the floor without calling exp past a cut just
+  // outside the lobe/floor crossing; the result must be the very double
+  // of the full formula, max(peak * exp(-theta^2 / 2 sigma^2), floor).
+  for (const double hpbw_deg : {5.0, 20.0, 60.0, 120.0}) {
+    for (const double floor_db : {-0.001, -10.0, -20.0, -40.0, -100.0}) {
+      const GaussianPattern p(deg_to_rad(hpbw_deg), floor_db);
+      // The pattern's own constants, formed by the same expressions.
+      const double sigma =
+          deg_to_rad(hpbw_deg) / (2.0 * std::sqrt(2.0 * std::log(2.0)));
+      const double peak = p.gain_linear(0.0);
+      const double floor = from_db(floor_db) * peak;
+      const auto reference = [&](double theta) {
+        const double lobe =
+            peak * std::exp(-theta * theta / (2.0 * sigma * sigma));
+        return std::max(lobe, floor);
+      };
+      const auto check = [&](double theta) {
+        if (std::fabs(theta) > kPi) {
+          return;  // the reference is written for unwrapped offsets
+        }
+        const double want = reference(theta);
+        const double got = p.gain_linear(theta);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << hpbw_deg << " deg, " << floor_db << " dB, theta = " << theta
+            << ": got " << got << ", want " << want;
+      };
+      for (int i = -1999; i <= 2000; ++i) {
+        check(kPi * static_cast<double>(i) / 2000.0);
+      }
+      // The true crossing and the cut 1e-6 (relative, in theta^2) beyond
+      // it, each stepped across ulp by ulp; then the band between them.
+      const double crossing =
+          sigma * std::sqrt(2.0 * -std::log(from_db(floor_db)));
+      const double cut = crossing * std::sqrt(1.0 + 1e-6);
+      for (const double edge : {crossing, cut}) {
+        double up = edge;
+        double down = edge;
+        for (int i = 0; i < 256; ++i) {
+          for (const double theta : {up, down}) {
+            check(theta);
+            check(-theta);
+          }
+          up = std::nextafter(up, std::numeric_limits<double>::infinity());
+          down = std::nextafter(down, 0.0);
+        }
+      }
+      for (int i = 0; i <= 1000; ++i) {
+        const double u = static_cast<double>(i) / 1000.0;
+        check(crossing + (cut - crossing) * 2.0 * u);
+      }
+    }
+  }
 }
 
 /// Energy conservation: mean linear gain over azimuth ~ 1 (0 dBi) — a beam

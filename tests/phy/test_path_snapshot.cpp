@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -352,6 +353,53 @@ TEST(IncrementalSnapshot, UpdateWalkIsBitIdenticalToFullBuilds) {
     EXPECT_GT(stats.shadow_reuses, 0u);
     EXPECT_GT(stats.blockage_reuses, 0u);
     EXPECT_GT(stats.azimuth_reuses, 0u);
+  }
+}
+
+/// Bitwise equality of two component arrays (signed zeros count).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(IncrementalSnapshot, RxOnlyMoveKeepsReflectedTxAzimuths) {
+  // An RX-only walk keeps every reflected path's departure direction, so
+  // the refresh keeps those TX azimuths and re-projects only the LOS one.
+  // Every component must still equal a cold build bit for bit, through a
+  // TX rotation and a TX move midway (which invalidate the kept ones).
+  for (const bool coherent : {false, true}) {
+    const Channel channel = make_channel(coherent, 5);
+    Pose tx_pose;
+    tx_pose.orientation = Quaternion::from_yaw(0.3);
+    PathSnapshot incremental;
+    PathSnapshot cold;
+    SnapshotReuse reuse;
+    Pose rx_pose;
+    rx_pose.position = {30.0, 10.0, 0.0};
+    rx_pose.orientation = Quaternion::from_yaw(-1.2);
+    for (int step = 0; step < 40; ++step) {
+      rx_pose.position.x -= 0.021;
+      rx_pose.position.y += 0.013;
+      if (step == 17) {
+        tx_pose.orientation = Quaternion::from_yaw(0.31);
+      }
+      if (step == 29) {
+        tx_pose.position.z += 0.5;
+      }
+      const sim::Time t =
+          sim::Time::from_ns(300'000'000 + std::int64_t{step} * 1'000'000);
+      channel.update_snapshot(tx_pose, rx_pose, t, kTxPowerDbm, incremental,
+                              &reuse, nullptr);
+      channel.make_snapshot(tx_pose, rx_pose, t, kTxPowerDbm, cold);
+      ASSERT_EQ(incremental.size(), 6u);
+      ASSERT_EQ(incremental.coherent, cold.coherent);
+      ASSERT_TRUE(same_bits(incremental.tx_az, cold.tx_az)) << "step " << step;
+      ASSERT_TRUE(same_bits(incremental.rx_az, cold.rx_az)) << "step " << step;
+      ASSERT_TRUE(same_bits(incremental.base_db, cold.base_db));
+      ASSERT_TRUE(same_bits(incremental.base_linear, cold.base_linear));
+      ASSERT_TRUE(same_bits(incremental.amp_cos, cold.amp_cos));
+      ASSERT_TRUE(same_bits(incremental.amp_sin, cold.amp_sin));
+    }
   }
 }
 

@@ -105,6 +105,44 @@ TEST(Simulator, CancelPeriodicBeforeFirstFire) {
   EXPECT_EQ(ticks, 0);
 }
 
+TEST(Simulator, PeriodicChainCanCancelItself) {
+  Simulator sim;
+  int ticks = 0;
+  EventId chain = 0;
+  chain = sim.schedule_periodic(Time::zero(), 10_ms, [&] {
+    if (++ticks == 3) {
+      sim.cancel_periodic(chain);
+    }
+  });
+  sim.run_until(Time::zero() + 100_ms);
+  EXPECT_EQ(ticks, 3);  // t=0, 10, 20
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, DestroyingSimulatorReleasesPeriodicChains) {
+  // Counts live copies of a capture: every one must be gone once the
+  // simulator is, whether its chain ran, was cancelled or never fired.
+  struct Probe {
+    int* live;
+    explicit Probe(int* counter) : live(counter) { ++*live; }
+    Probe(const Probe& other) : live(other.live) { ++*live; }
+    Probe& operator=(const Probe&) = delete;
+    ~Probe() { --*live; }
+  };
+  int live = 0;
+  {
+    Simulator sim;
+    const Probe probe(&live);
+    sim.schedule_periodic(Time::zero(), 10_ms, [probe] {});
+    const EventId cancelled =
+        sim.schedule_periodic(Time::zero() + 5_ms, 10_ms, [probe] {});
+    sim.schedule_periodic(Time::zero() + 1000_ms, 10_ms, [probe] {});
+    sim.run_until(Time::zero() + 50_ms);
+    sim.cancel_periodic(cancelled);
+  }
+  EXPECT_EQ(live, 0);
+}
+
 TEST(Simulator, EventsExecutedCounter) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) {
