@@ -21,10 +21,20 @@
 // Writes BENCH_fleet.json (same schema as BENCH_micro.json) next to the
 // binary; --report-out additionally writes the machine-readable
 // FleetReport JSON of the largest fleet swept.
+//
+// Each fleet size also gets an output digest: FNV-1a over everything the
+// run computed (handovers, protocol counters, the alignment and SNR
+// series, rate sums, SSB observations, events, queue high-water mark)
+// and nothing about how much work that took — no wall times, no
+// snapshot-cache counters. A change that only removes work must leave it
+// unchanged.
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -62,6 +72,83 @@ core::ScenarioSpec fleet_spec(const std::string& preset_name,
   return builder.build();
 }
 
+class Fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xFFU;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+  void add(std::string_view s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (const char c : s) {
+      hash_ ^= static_cast<unsigned char>(c);
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void add(const sim::TimeSeries& series) {
+    add(static_cast<std::uint64_t>(series.size()));
+    for (const sim::TimeSeries::Point& p : series.points()) {
+      add(static_cast<std::uint64_t>(p.t.ns()));
+      add(p.value);
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// The outputs of a fleet run, hashed; see the header comment.
+std::string output_digest(const fleet::FleetResult& result) {
+  Fnv1a h;
+  h.add(static_cast<std::uint64_t>(result.ue_results.size()));
+  for (const core::ScenarioResult& r : result.ue_results) {
+    h.add(static_cast<std::uint64_t>(r.handovers.size()));
+    for (const net::HandoverRecord& rec : r.handovers) {
+      for (const std::uint64_t v :
+           {std::uint64_t{rec.from}, std::uint64_t{rec.to},
+            static_cast<std::uint64_t>(rec.type),
+            static_cast<std::uint64_t>(rec.serving_lost.ns()),
+            static_cast<std::uint64_t>(rec.access_started.ns()),
+            static_cast<std::uint64_t>(rec.completed.ns()),
+            std::uint64_t{rec.success}, std::uint64_t{rec.rach_attempts},
+            std::uint64_t{rec.target_tx_beam}, std::uint64_t{rec.final_rx_beam},
+            std::uint64_t{rec.beam_aligned_at_completion}}) {
+        h.add(v);
+      }
+    }
+    for (const auto& [name, value] : r.counters.nonzero()) {
+      h.add(name);
+      h.add(value);
+    }
+    h.add(r.neighbour_tracked_rss_dbm);
+    h.add(r.neighbour_best_rss_dbm);
+    h.add(r.alignment_gap_db);
+    h.add(r.serving_snr_db);
+    h.add(r.rate.samples);
+    h.add(r.rate.served_samples);
+    h.add(r.rate.bits);
+    h.add(r.rate.sum_sinr_db);
+    h.add(r.rate.sum_cqi);
+    h.add(r.rate.outage_events);
+    h.add(r.rate.outage_ms);
+    h.add(r.ssb_observations);
+    h.add(r.engine.events_executed);
+    h.add(r.engine.queue_depth_hwm);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h.value()));
+  return hex;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,6 +184,7 @@ int main(int argc, char** argv) {
     double ues_per_second;
     double cache_hit_rate;
     unsigned threads;
+    std::string output_digest;
   };
   std::vector<Entry> entries;
 
@@ -123,8 +211,8 @@ int main(int argc, char** argv) {
         .cell(result.ssb_observations);
 
     entries.push_back({n_ues, result.wall_seconds, result.ues_per_second(),
-                       result.snapshot_cache.hit_rate(),
-                       result.threads_used});
+                       result.snapshot_cache.hit_rate(), result.threads_used,
+                       output_digest(result)});
 
     // The machine-readable report covers the largest fleet swept.
     if (!report_out.empty() && n_ues == sweep.back()) {
@@ -138,6 +226,10 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
+  for (const Entry& e : entries) {
+    std::cout << "output digest, " << e.ues << " UEs: " << e.output_digest
+              << "\n";
+  }
 
   // The batched fast path (tentpole of the incremental-snapshot work):
   // every (UE, cell) link held hot in one FleetChannelBatch and swept at
@@ -223,7 +315,8 @@ int main(int argc, char** argv) {
         << "\": {\"wall_seconds\": " << e.wall_seconds
         << ", \"ues_per_second\": " << e.ues_per_second
         << ", \"snapshot_cache_hit_rate\": " << e.cache_hit_rate
-        << ", \"threads\": " << e.threads << "}";
+        << ", \"threads\": " << e.threads << ", \"output_digest\": \""
+        << e.output_digest << "\"}";
   }
   out << "},\n  \"batched_sweeps\": {";
   for (std::size_t i = 0; i < batch_entries.size(); ++i) {

@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -179,6 +180,62 @@ void BM_SnapshotRxPower(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotRxPower);
+
+/// The paper's walking UE (cell-edge walk, 20° codebook) and a misaligned
+/// pair of neighbour cell 1: both beams half a codebook away from the best
+/// pair at t0, so detection is all but impossible.
+struct ObserveFixture {
+  core::ScenarioSpec spec =
+      core::SpecBuilder(core::preset::paper_walk()).build();
+  net::Deployment deployment = core::make_deployment(spec);
+  std::unique_ptr<net::RadioEnvironment> env =
+      core::make_ue_environment(spec, 0, deployment);
+  sim::Time t0 = sim::Time::zero() + 10'000_ms;
+  phy::BeamId tx = 0;
+  phy::BeamId rx = 0;
+
+  ObserveFixture() {
+    const auto best = env->ground_truth_best_pair(1, t0);
+    const auto n_tx = static_cast<phy::BeamId>(env->bs(1).codebook().size());
+    const auto n_rx = static_cast<phy::BeamId>(env->ue_codebook().size());
+    tx = (best.tx_beam + n_tx / 2) % n_tx;
+    rx = (best.rx_beam + n_rx / 2) % n_rx;
+  }
+};
+
+void BM_ObserveSsbCertifiedMiss(benchmark::State& state) {
+  // The misaligned pair 125 µs after the cell's last refresh: the slope
+  // bound settles the miss from the cached snapshot, with no refresh
+  // (docs/PERFORMANCE.md §12). Every call asks for the same instant, which
+  // stays uncached because a certified miss refreshes nothing.
+  ObserveFixture f;
+  (void)f.env->true_dl_snr_db(1, f.tx, f.rx, f.t0);
+  const sim::Time t = f.t0 + 125_us;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.env->observe_ssb(1, f.tx, f.rx, t));
+  }
+  if (f.env->snapshot_stats().certified_misses !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("an observation took the exact path");
+  }
+}
+BENCHMARK(BM_ObserveSsbCertifiedMiss);
+
+void BM_ObserveSsbExact(benchmark::State& state) {
+  // The same pair on the exact path: each call steps 125 µs back in time,
+  // so the cached instant never precedes it and every call refreshes the
+  // cell (and the SSB-transmitting neighbours, for the SINR).
+  ObserveFixture f;
+  sim::Time t = f.t0;
+  for (auto _ : state) {
+    t = t > sim::Time::zero() + 1'000_ms ? t - 125_us : f.t0;
+    benchmark::DoNotOptimize(f.env->observe_ssb(1, f.tx, f.rx, t));
+  }
+  if (f.env->snapshot_stats().certified_misses != 0) {
+    state.SkipWithError("an observation was certified");
+  }
+}
+BENCHMARK(BM_ObserveSsbExact);
 
 void BM_SnapshotBuild(benchmark::State& state) {
   SweepFixture f;
@@ -382,6 +439,7 @@ std::string snapshot_cache_fragment() {
   std::ostringstream out;
   out << "\"snapshot_cache\": {\"hits\": " << cache.hits
       << ", \"refreshes\": " << cache.refreshes
+      << ", \"certified_misses\": " << cache.certified_misses
       << ", \"cold_misses\": " << cache.cold_misses
       << ", \"invalidations\": " << cache.invalidations
       << ", \"pair_sweeps\": " << cache.pair_sweeps

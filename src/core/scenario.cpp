@@ -547,6 +547,7 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
   const net::SnapshotCacheStats& cache = result.snapshot_cache;
   report.snapshot_cache.hits = cache.hits;
   report.snapshot_cache.refreshes = cache.refreshes;
+  report.snapshot_cache.certified_misses = cache.certified_misses;
   report.snapshot_cache.cold_misses = cache.cold_misses;
   report.snapshot_cache.invalidations = cache.invalidations;
   report.snapshot_cache.pair_sweeps = cache.pair_sweeps;

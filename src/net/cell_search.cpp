@@ -71,18 +71,21 @@ void CellSearch::begin_dwell() {
 void CellSearch::schedule_observations() {
   // Schedule one observation per SSB slot of every candidate cell that
   // falls inside this dwell. The protocol does not know these times; it
-  // only ever sees the resulting detections.
+  // only ever sees the resulting detections. The closure holds only what
+  // the callback needs (the slot's instant is the simulator's now), so it
+  // fits std::function's inline storage: no allocation per slot.
   for (const CellId cell : candidates_) {
     const FrameSchedule& schedule = environment_.bs(cell).schedule();
     SsbSlot slot = schedule.next_ssb(simulator_.now());
     while (slot.start < dwell_end_) {
+      const phy::BeamId tx = slot.tx_beam;
       pending_events_.push_back(simulator_.schedule_at(slot.start, [this, cell,
-                                                                    slot] {
+                                                                    tx] {
         if (busy_ && busy_(simulator_.now())) {
           return;  // radio pre-empted by the serving cell
         }
         const SsbObservation obs = environment_.observe_ssb(
-            cell, slot.tx_beam, current_rx_beam_, simulator_.now());
+            cell, tx, current_rx_beam_, simulator_.now());
         if (obs.detected) {
           dwell_detections_.push_back(obs);
         }

@@ -58,6 +58,11 @@ struct SnapshotCacheStats {
   std::uint64_t hits = 0;       ///< query served from the cached epoch
   std::uint64_t refreshes = 0;  ///< warm same-UE rebuild at a new instant
                                 ///< (incremental, reuse state kept)
+  /// SSB observations settled as undetected from an older cached snapshot
+  /// and a slope bound, with no rebuild (RadioEnvironment::observe_ssb).
+  /// A work counter like the four above, but not a query: hit_rate()
+  /// leaves it out.
+  std::uint64_t certified_misses = 0;
   std::uint64_t cold_misses = 0;    ///< rebuild with no valid entry
   std::uint64_t invalidations = 0;  ///< valid entry evicted for another UE
   std::uint64_t pair_sweeps = 0;    ///< ground_truth_best_pair kernel calls
@@ -88,6 +93,7 @@ struct SnapshotCacheStats {
   void merge(const SnapshotCacheStats& other) noexcept {
     hits += other.hits;
     refreshes += other.refreshes;
+    certified_misses += other.certified_misses;
     cold_misses += other.cold_misses;
     invalidations += other.invalidations;
     pair_sweeps += other.pair_sweeps;
@@ -141,7 +147,16 @@ class RadioEnvironment {
 
   /// One SSB listening attempt: cell `cell` transmits its SSB on
   /// `tx_beam`; the mobile listens on `rx_beam`. Detection is a Bernoulli
-  /// draw on the true SNR; the reported RSS carries estimation noise.
+  /// draw on the true SINR; the reported RSS carries estimation noise.
+  ///
+  /// Certified miss: when the cell's cached snapshot is from an earlier
+  /// instant t0 and the slope bound of certified_hold_until proves
+  /// 0 < p <= p_hi < 1 for the detection probability p at `t`, the
+  /// detection uniform u is drawn first. u >= p_hi settles the attempt as
+  /// undetected without refreshing any snapshot; otherwise the exact
+  /// SINR is evaluated and compared with that same u. Rng::bernoulli
+  /// draws exactly one uniform when 0 < p < 1 and returns u < p, so the
+  /// result and both RNG streams are those of the exact evaluation.
   [[nodiscard]] SsbObservation observe_ssb(CellId cell, phy::BeamId tx_beam,
                                            phy::BeamId rx_beam, sim::Time t);
 
@@ -168,6 +183,14 @@ class RadioEnvironment {
   /// as decoded/not-decoded transport blocks).
   [[nodiscard]] double true_dl_snr_db(CellId cell, phy::BeamId tx_beam,
                                       phy::BeamId ue_beam, sim::Time t) const;
+
+  /// true_dl_snr_db for an invariant checker's leg: counted as the one
+  /// snapshot query it is, but every cached snapshot is put back
+  /// afterwards. Certified misses read the cached instant, so a checked
+  /// run then decides its fast paths exactly as an unchecked run does.
+  [[nodiscard]] double checker_dl_snr_db(CellId cell, phy::BeamId tx_beam,
+                                         phy::BeamId ue_beam,
+                                         sim::Time t) const;
 
   /// Certified hold of a healthy link — the link monitor's skip rule.
   /// Returns an instant `hold` such that for every t in [t0, hold) the
@@ -239,6 +262,54 @@ class RadioEnvironment {
   [[nodiscard]] double true_dl_rss_dbm(CellId cell, phy::BeamId tx_beam,
                                        phy::BeamId ue_beam, sim::Time t) const;
 
+  /// Beam-independent terms of the slope bound of one cell from `t0`,
+  /// per path (LOS first, then the reflectors). They hold over
+  /// [t0, until); until == t0 means nothing can be certified from t0.
+  struct SlopeTerms {
+    struct Path {
+      double length_rate;     ///< v*(path-loss slope + shadowing gradient)
+                              ///< [dB/s]
+      double departure_turn;  ///< [rad/s]
+      double arrival_turn;    ///< [rad/s]
+    };
+    bool valid = false;
+    sim::Time t0;
+    sim::Time until;
+    std::vector<Path> paths;
+  };
+
+  /// The slope terms of `cell` from `t0`, memoised per cell on t0: the
+  /// link monitor asks at the instant it just evaluated, observe_ssb at
+  /// the instant of the cached snapshot, so they are recomputed only when
+  /// that instant moves.
+  [[nodiscard]] const SlopeTerms& slope_terms(CellId cell, sim::Time t0) const;
+
+  /// Bound S [dB/s] on |d rx power/dt| of (cell, tx_beam, ue_beam) over
+  /// the interval of `terms`; +inf when a beam pattern has no finite
+  /// slope bound.
+  [[nodiscard]] double rate_bound(const SlopeTerms& terms, CellId cell,
+                                  phy::BeamId tx_beam,
+                                  phy::BeamId ue_beam) const;
+
+  /// p_hi of a certified miss (see observe_ssb) for an SSB of (cell,
+  /// tx_beam) on `ue_beam` at `t`: an upper bound on the detection
+  /// probability, proven with 0 < p <= p_hi < 1. Returns 1 when nothing is
+  /// proven (the exact path then runs with its usual draw).
+  [[nodiscard]] double certified_detection_bound(CellId cell,
+                                                 phy::BeamId tx_beam,
+                                                 phy::BeamId ue_beam,
+                                                 sim::Time t) const;
+
+  /// The exact SSB detection probability for the certified-miss checker
+  /// leg, entirely off the record: the snapshot cache, its counters and
+  /// the build counters are restored afterwards, so a checked run's
+  /// counters differ from an unchecked run's by the link monitor's leg
+  /// alone.
+  [[nodiscard]] double checker_detection_probability(CellId cell,
+                                                     phy::BeamId tx_beam,
+                                                     phy::BeamId ue_beam,
+                                                     sim::Time t) const;
+
   /// Path snapshot for (config.ue, cell, t), served from the phy-layer
   /// epoch cache (one entry per cell, keyed on UE id and time; see
   /// phy/snapshot_cache.hpp for the validity rule). The metric tick and
@@ -271,6 +342,12 @@ class RadioEnvironment {
   mutable SnapshotCacheStats snapshot_stats_;
   /// Per-component reuse accounting fed by Channel::update_snapshot.
   mutable phy::SnapshotBuildStats build_stats_;
+  /// Per-cell memo of slope_terms.
+  mutable std::vector<SlopeTerms> slope_terms_;
+  /// Smallest true RSS [dBm] whose SSB detection probability is provably
+  /// positive whatever the interference: below it the logistic's exp may
+  /// overflow to p == 0, where Rng::bernoulli draws nothing.
+  double min_certifiable_rss_dbm_ = 0.0;
   /// ue_pose memo: the pose at pose_memo_t_, when pose_memo_valid_.
   mutable bool pose_memo_valid_ = false;
   mutable sim::Time pose_memo_t_;
@@ -280,5 +357,22 @@ class RadioEnvironment {
   Rng detection_rng_;
   std::uint64_t ssb_observations_ = 0;
 };
+
+namespace invariants {
+
+/// An observation settled as a certified miss must really miss: the
+/// detection probability `p` evaluated exactly at that instant lies in
+/// (0, 1), so Rng::bernoulli would have drawn, and the drawn uniform `u`
+/// is at or above it. Throws contracts::ContractViolation otherwise.
+/// Wired in as ST_INVARIANT, so it runs (and costs the exact evaluation)
+/// only in -DST_CHECK_INVARIANTS=ON builds.
+void check_certified_miss(double u, double p, CellId cell, sim::Time t);
+
+/// A certificate whose draw did not settle a miss: the exact evaluation
+/// then compares the same u with `p`, which is what Rng::bernoulli does
+/// only when p lies in (0, 1). Throws otherwise; ST_INVARIANT-wired too.
+void check_certified_draw(double p, CellId cell, sim::Time t);
+
+}  // namespace invariants
 
 }  // namespace st::net

@@ -57,8 +57,8 @@ void LinkMonitor::check() {
     emit_.count(obs::ProtocolCounter::kLinkChecksCertified);
     below_since_.reset();
     ST_INVARIANT(invariants::check_link_certificate(
-        environment_.true_dl_snr_db(cell_, tx_beam, rx_beam, now), threshold,
-        now, hold_until_));
+        environment_.checker_dl_snr_db(cell_, tx_beam, rx_beam, now),
+        threshold, now, hold_until_));
     schedule_next();
     return;
   }

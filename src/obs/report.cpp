@@ -159,6 +159,7 @@ void write_snapshot_cache(JsonOut& json, const SnapshotCacheReport& cache) {
   json.open("snapshot_cache");
   json.field("hits", cache.hits);
   json.field("refreshes", cache.refreshes);
+  json.field("certified_misses", cache.certified_misses);
   json.field("cold_misses", cache.cold_misses);
   json.field("invalidations", cache.invalidations);
   json.field("pair_sweeps", cache.pair_sweeps);

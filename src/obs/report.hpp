@@ -63,6 +63,7 @@ struct EngineReport {
 struct SnapshotCacheReport {
   std::uint64_t hits = 0;
   std::uint64_t refreshes = 0;
+  std::uint64_t certified_misses = 0;
   std::uint64_t cold_misses = 0;
   std::uint64_t invalidations = 0;
   std::uint64_t pair_sweeps = 0;

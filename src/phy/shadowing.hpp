@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 #include "common/vec.hpp"
@@ -41,6 +42,12 @@ class ShadowingProcess {
   /// sigma * sqrt(2/K) * sum_i |k_i| over the drawn wavevectors.
   [[nodiscard]] double gradient_bound_db_per_m() const noexcept {
     return gradient_bound_db_per_m_;
+  }
+
+  /// Bound on |sample_db| [dB]: sigma * sqrt(2/K) * K, every cosine at 1.
+  [[nodiscard]] double amplitude_bound_db() const noexcept {
+    return config_.sigma_db *
+           std::sqrt(2.0 * static_cast<double>(kComponents));
   }
 
  private:

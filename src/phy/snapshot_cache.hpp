@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "phy/path_snapshot.hpp"
@@ -81,9 +82,24 @@ class SnapshotEpochCache {
     return entry.snapshot;
   }
 
+  /// The snapshot held for (ue, cell) and, in `*t`, the instant it was
+  /// built for; nullptr when the slot is empty or holds another UE's
+  /// snapshot. Read-only: it builds nothing and counts nothing, so a
+  /// caller may inspect an older epoch without moving the statistics.
+  [[nodiscard]] const PathSnapshot* cached(std::uint32_t ue, std::size_t cell,
+                                           sim::Time* t) const noexcept {
+    const Entry& entry = entries_[cell];
+    if (!entry.valid || entry.ue != ue) {
+      return nullptr;
+    }
+    *t = entry.t;
+    return &entry.snapshot;
+  }
+
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
- private:
+  /// One cell's slot: the snapshot of (ue, t) when valid, and the reuse
+  /// state of its last build.
   struct Entry {
     bool valid = false;
     std::uint32_t ue = 0;
@@ -92,6 +108,20 @@ class SnapshotEpochCache {
     SnapshotReuse reuse;
   };
 
+  /// Everything the cache holds, entries and statistics, for a caller
+  /// that evaluates off the record and then puts it all back: the
+  /// invariant checker's extra evaluations (net::RadioEnvironment).
+  struct State {
+    std::vector<Entry> entries;
+    Stats stats;
+  };
+  [[nodiscard]] State save() const { return {entries_, stats_}; }
+  void restore(State state) noexcept {
+    entries_ = std::move(state.entries);
+    stats_ = state.stats;
+  }
+
+ private:
   std::vector<Entry> entries_;
   Stats stats_;
 };
