@@ -30,14 +30,6 @@ double wrap_pi(double rad) noexcept {
   return w;
 }
 
-double wrap_two_pi(double rad) noexcept {
-  double w = std::fmod(rad, kTwoPi);
-  if (w < 0.0) {
-    w += kTwoPi;
-  }
-  return w;
-}
-
 double angular_distance(double a_rad, double b_rad) noexcept {
   return std::fabs(wrap_pi(a_rad - b_rad));
 }

@@ -22,9 +22,6 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 /// Wrap an angle to (-pi, pi].
 [[nodiscard]] double wrap_pi(double rad) noexcept;
 
-/// Wrap an angle to [0, 2*pi).
-[[nodiscard]] double wrap_two_pi(double rad) noexcept;
-
 /// Smallest absolute angular distance between two angles, in [0, pi].
 [[nodiscard]] double angular_distance(double a_rad, double b_rad) noexcept;
 

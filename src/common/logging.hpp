@@ -1,76 +1,13 @@
-// Minimal leveled logger. Protocol modules log beam switches, state
-// transitions, and handover events; examples run with Info, tests with
-// Warning, and debugging sessions can flip to Debug without recompiling
-// call sites. No macros — call sites pay one branch on the level check.
-//
-// Thread safety: the global logger is shared by the parallel batch
-// runner's worker threads, so the level is an atomic (lock-free check on
-// the hot path) and the sink pointer plus the actual write are guarded by
-// a mutex — concurrent log() calls serialise instead of interleaving
-// bytes, and set_sink() during logging is safe.
+// Message formatting. The simulator writes no log: its record is the
+// typed protocol trace (obs/trace.hpp). log_message builds the strings
+// that trace narratives and invariant-violation reports carry, the
+// latter also from the checker legs in the environment and link monitor.
 #pragma once
 
-#include <atomic>
-#include <ostream>
 #include <sstream>
 #include <string>
-#include <string_view>
-
-#include "common/thread_annotations.hpp"
 
 namespace st {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 };
-
-[[nodiscard]] std::string_view to_string(LogLevel level) noexcept;
-
-class Logger {
- public:
-  /// Process-wide logger used by library code. Defaults to Warning on
-  /// stderr so tests stay quiet.
-  static Logger& global() noexcept;
-
-  void set_level(LogLevel level) noexcept {
-    level_.store(level, std::memory_order_relaxed);
-  }
-  [[nodiscard]] LogLevel level() const noexcept {
-    return level_.load(std::memory_order_relaxed);
-  }
-
-  /// Redirect output (e.g. to a file stream owned by the caller). The
-  /// stream must outlive the logger's use of it. Safe to call while
-  /// other threads are logging: the swap happens under the sink mutex.
-  void set_sink(std::ostream& sink) ST_EXCLUDES(sink_mutex_);
-
-  [[nodiscard]] bool enabled(LogLevel level) const noexcept {
-    return level >= level_.load(std::memory_order_relaxed);
-  }
-
-  /// `component` is a short tag such as "silent_tracker" or "rach".
-  void log(LogLevel level, std::string_view component,
-           std::string_view message) ST_EXCLUDES(sink_mutex_);
-
-  void debug(std::string_view component, std::string_view message) {
-    log(LogLevel::kDebug, component, message);
-  }
-  void info(std::string_view component, std::string_view message) {
-    log(LogLevel::kInfo, component, message);
-  }
-  void warning(std::string_view component, std::string_view message) {
-    log(LogLevel::kWarning, component, message);
-  }
-  void error(std::string_view component, std::string_view message) {
-    log(LogLevel::kError, component, message);
-  }
-
- private:
-  Logger() = default;
-
-  std::atomic<LogLevel> level_{LogLevel::kWarning};
-  Mutex sink_mutex_;
-  // nullptr => std::cerr
-  std::ostream* sink_ ST_GUARDED_BY(sink_mutex_) = nullptr;
-};
 
 /// Build a message from streamable parts: log_message("rss=", -62.5, " dBm").
 template <typename... Parts>

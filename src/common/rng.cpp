@@ -112,23 +112,4 @@ bool Rng::bernoulli(double p) noexcept {
   return uniform() < p;
 }
 
-unsigned Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) {
-    return 0;
-  }
-  if (mean > 64.0) {
-    const double draw = std::round(normal(mean, std::sqrt(mean)));
-    return draw < 0.0 ? 0U : static_cast<unsigned>(draw);
-  }
-  // Knuth's product method.
-  const double limit = std::exp(-mean);
-  unsigned k = 0;
-  double product = uniform();
-  while (product > limit) {
-    ++k;
-    product *= uniform();
-  }
-  return k;
-}
-
 }  // namespace st

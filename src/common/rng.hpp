@@ -77,10 +77,6 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
-  /// Poisson-distributed count with given mean (Knuth for small means,
-  /// normal approximation above 64 — our cluster counts are small).
-  unsigned poisson(double mean) noexcept;
-
  private:
   std::array<std::uint64_t, 4> s_{};
   double cached_normal_ = 0.0;

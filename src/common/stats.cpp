@@ -231,44 +231,4 @@ double LogLinearHistogram::quantile(double q) const noexcept {
   return max_;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram requires hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  const double offset = (x - lo_) / width_;
-  std::size_t idx = 0;
-  if (offset > 0.0) {
-    idx = static_cast<std::size_t>(offset);
-    if (idx >= counts_.size()) {
-      idx = counts_.size() - 1;
-    }
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_lower(std::size_t i) const noexcept {
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-std::string Histogram::ascii(std::size_t max_bar_width) const {
-  std::string out;
-  const std::size_t peak =
-      counts_.empty() ? 0 : *std::max_element(counts_.begin(), counts_.end());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char label[64];
-    std::snprintf(label, sizeof(label), "%10.3f | ", bin_lower(i));
-    out += label;
-    const std::size_t bar =
-        peak == 0 ? 0 : counts_[i] * max_bar_width / peak;
-    out.append(bar, '#');
-    out += " (" + std::to_string(counts_[i]) + ")\n";
-  }
-  return out;
-}
-
 }  // namespace st

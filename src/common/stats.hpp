@@ -1,6 +1,6 @@
 // Descriptive statistics used by the benchmark harness and metric layer:
 // streaming mean/variance (Welford), exact percentiles over stored samples,
-// fixed-bin histograms, and normal-approximation confidence intervals for
+// log-linear histograms, and normal-approximation confidence intervals for
 // success rates. The bench binaries report mean / p50 / p95 like the
 // paper's latency plots.
 #pragma once
@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace st {
@@ -147,29 +146,6 @@ class LogLinearHistogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the
-/// first/last bin so the total count is preserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t count_in_bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lower(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_width() const noexcept { return width_; }
-
-  /// Render a compact ASCII bar chart (used by example binaries).
-  [[nodiscard]] std::string ascii(std::size_t max_bar_width = 40) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace st

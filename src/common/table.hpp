@@ -32,9 +32,6 @@ class Table {
   void print(std::ostream& os, const std::string& title = {}) const;
 
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t column_count() const noexcept {
-    return headers_.size();
-  }
 
  private:
   std::vector<std::string> headers_;

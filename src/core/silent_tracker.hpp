@@ -123,9 +123,6 @@ class SilentTracker {
   [[nodiscard]] phy::BeamId neighbour_tx_beam() const noexcept {
     return neighbour_tx_beam_;
   }
-  [[nodiscard]] double neighbour_filtered_rss_dbm() const noexcept {
-    return neighbour_rss_.filtered_rss_dbm();
-  }
   [[nodiscard]] const BeamSurfer& beamsurfer() const noexcept {
     return *beamsurfer_;
   }

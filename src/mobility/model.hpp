@@ -45,7 +45,7 @@ class MobilityModel {
   [[nodiscard]] virtual double speed_at(sim::Time t) const = 0;
 
   /// Certified motion bound from `t` on. The default is no certificate
-  /// (`until == t`): trace playback and random waypoints keep it.
+  /// (`until == t`): trace playback keeps it.
   [[nodiscard]] virtual MotionBound motion_bound(sim::Time t) const {
     return {.until = t};
   }

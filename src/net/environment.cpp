@@ -399,17 +399,6 @@ SsbObservation RadioEnvironment::observe_ssb(CellId cell, phy::BeamId tx_beam,
   return obs;
 }
 
-double RadioEnvironment::measure_link_rss_dbm(CellId cell, phy::BeamId tx_beam,
-                                              phy::BeamId rx_beam,
-                                              sim::Time t) {
-  const double true_rss = true_dl_rss_dbm(cell, tx_beam, rx_beam, t);
-  if (link_.snr_db(true_rss) < -10.0) {
-    // Below any usable estimation SNR the modem reports the floor.
-    return link_.noise_floor_dbm();
-  }
-  return config_.measurement.apply(true_rss, measurement_rng_);
-}
-
 bool RadioEnvironment::uplink_success(CellId cell, phy::BeamId ue_beam,
                                       phy::BeamId bs_beam, sim::Time t,
                                       double extra_power_db) {

@@ -160,13 +160,6 @@ class RadioEnvironment {
   [[nodiscard]] SsbObservation observe_ssb(CellId cell, phy::BeamId tx_beam,
                                            phy::BeamId rx_beam, sim::Time t);
 
-  /// Measured serving-link RSS for an already-synchronised link (e.g. CSI
-  /// on data slots): same physics as observe_ssb but no detection draw —
-  /// returns measured RSS, or the noise floor if the true SNR is too low
-  /// to measure anything (below -10 dB).
-  [[nodiscard]] double measure_link_rss_dbm(CellId cell, phy::BeamId tx_beam,
-                                            phy::BeamId rx_beam, sim::Time t);
-
   /// Success draw for one uplink control message (RACH preamble, Msg3,
   /// beam-switch request) sent with the UE beam `ue_beam` while the BS
   /// listens on `bs_beam`. `extra_power_db` models RACH power ramping.

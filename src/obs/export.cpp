@@ -304,12 +304,6 @@ bool write_chrome_trace_file(const TraceRecorder& recorder,
   return os.is_open() && write_chrome_trace(recorder, os);
 }
 
-bool write_trace_jsonl_file(const TraceRecorder& recorder,
-                            const std::string& path) {
-  std::ofstream os(path);
-  return os.is_open() && write_trace_jsonl(recorder, os);
-}
-
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream os(path);
   if (!os.is_open()) {

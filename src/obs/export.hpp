@@ -26,8 +26,6 @@ bool write_chrome_trace_file(const TraceRecorder& recorder,
                              const std::string& path);
 
 bool write_trace_jsonl(const TraceRecorder& recorder, std::ostream& os);
-bool write_trace_jsonl_file(const TraceRecorder& recorder,
-                            const std::string& path);
 
 /// Write `content` to `path` (used for RunReport JSON); false on failure.
 bool write_text_file(const std::string& path, const std::string& content);

@@ -80,18 +80,4 @@ BlockageWindow BlockageProcess::window(sim::Time t) const noexcept {
   return {0.0, clear_since, sim::Time::from_ns(kMaxNs)};
 }
 
-bool BlockageProcess::fully_blocked(sim::Time t) const noexcept {
-  for (const Event& e : events_) {
-    if (t < e.onset) {
-      break;
-    }
-    const sim::Time full_at = e.onset + e.ramp;
-    const sim::Time fall_at = full_at + e.flat;
-    if (t >= full_at && t < fall_at) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace st::phy

@@ -52,9 +52,6 @@ class BlockageProcess {
   /// value is constant. window(t).attenuation_db == attenuation_db(t).
   [[nodiscard]] BlockageWindow window(sim::Time t) const noexcept;
 
-  /// Whether any event is at its flat (fully blocked) phase at `t`.
-  [[nodiscard]] bool fully_blocked(sim::Time t) const noexcept;
-
   [[nodiscard]] std::size_t event_count() const noexcept {
     return events_.size();
   }

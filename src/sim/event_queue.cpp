@@ -44,9 +44,4 @@ EventQueue::Entry EventQueue::pop() {
   return entry;
 }
 
-void EventQueue::clear() {
-  heap_ = {};
-  callbacks_.clear();
-}
-
 }  // namespace st::sim

@@ -44,8 +44,6 @@ class EventQueue {
   /// Remove and return the earliest pending event. Precondition: !empty().
   [[nodiscard]] Entry pop();
 
-  void clear();
-
  private:
   struct HeapItem {
     Time when;

@@ -29,35 +29,6 @@ double TimeSeries::value_at(Time t, double fallback) const noexcept {
   return latest;
 }
 
-double TimeSeries::mean_over(Time from, Time to) const noexcept {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const Point& p : points_) {
-    if (p.t < from || p.t > to) {
-      continue;
-    }
-    sum += p.value;
-    ++n;
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-double TimeSeries::fraction_at_least(Time from, Time to,
-                                     double threshold) const noexcept {
-  std::size_t n = 0;
-  std::size_t hits = 0;
-  for (const Point& p : points_) {
-    if (p.t < from || p.t > to) {
-      continue;
-    }
-    ++n;
-    if (p.value >= threshold) {
-      ++hits;
-    }
-  }
-  return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
-}
-
 std::string TimeSeries::csv() const {
   std::string out;
   char buf[64];

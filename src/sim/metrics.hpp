@@ -27,8 +27,8 @@ class TimeSeries {
   /// non-decreasing time — the simulator's clock never goes backwards, so
   /// in-order recording is the O(1) fast path; an out-of-order `record`
   /// (e.g. merging series assembled off the sim clock) is accepted and
-  /// inserted at its sorted position (O(n) worst case). Queries
-  /// (`value_at`, `mean_over`, `fraction_at_least`) rely on this order.
+  /// inserted at its sorted position (O(n) worst case). `value_at` relies
+  /// on this order.
   void record(Time t, double value);
 
   [[nodiscard]] std::span<const Point> points() const noexcept {
@@ -39,13 +39,6 @@ class TimeSeries {
 
   /// Last value at or before `t`; `fallback` if none.
   [[nodiscard]] double value_at(Time t, double fallback = 0.0) const noexcept;
-
-  /// Mean of values with t in [from, to].
-  [[nodiscard]] double mean_over(Time from, Time to) const noexcept;
-
-  /// Fraction of points in [from, to] whose value >= threshold.
-  [[nodiscard]] double fraction_at_least(Time from, Time to,
-                                         double threshold) const noexcept;
 
   /// Render "t_ms,value" CSV rows (no header).
   [[nodiscard]] std::string csv() const;

@@ -31,54 +31,25 @@ EventId Simulator::schedule_after(Duration delay, EventFn fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::schedule_periodic(Time first, Duration period, EventFn fn) {
+void Simulator::schedule_periodic(Time first, Duration period, EventFn fn) {
   // The simulator owns the chain; each occurrence holds only a pointer to
   // it, so destroying the simulator releases every chain.
-  auto chain = std::make_unique<PeriodicChain>();
-  chain->period = period;
-  chain->fn = std::move(fn);
-  PeriodicChain* c = chain.get();
-  const EventId first_id = schedule_at(first, [this, c] { run_periodic(*c); });
-  c->first_id = first_id;
-  c->pending = first_id;
-  periodic_.emplace(first_id, std::move(chain));
-  return first_id;
+  periodic_.push_back(
+      std::make_unique<PeriodicChain>(PeriodicChain{period, std::move(fn)}));
+  PeriodicChain* c = periodic_.back().get();
+  schedule_at(first, [this, c] { run_periodic(*c); });
 }
 
 void Simulator::run_periodic(PeriodicChain& chain) {
   // Payload first, then the next occurrence: the order every
   // same-instant tie and the queue high-water mark are pinned against.
-  chain.running = true;
   chain.fn();
-  chain.running = false;
-  if (chain.cancelled) {
-    periodic_.erase(chain.first_id);  // cancelled by its own payload
-    return;
-  }
   PeriodicChain* c = &chain;
-  chain.pending =
-      queue_.push(now_ + chain.period, [this, c] { run_periodic(*c); });
+  queue_.push(now_ + chain.period, [this, c] { run_periodic(*c); });
   note_queue_depth();
 }
 
 bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
-
-void Simulator::cancel_periodic(EventId first_id) {
-  const auto it = periodic_.find(first_id);
-  if (it == periodic_.end()) {
-    return;
-  }
-  PeriodicChain& chain = *it->second;
-  if (chain.running) {
-    // Called from the chain's own payload: its occurrence is already
-    // popped and the closure is executing, so the chain is dropped once
-    // the payload returns instead of being re-armed.
-    chain.cancelled = true;
-    return;
-  }
-  queue_.cancel(chain.pending);
-  periodic_.erase(it);
-}
 
 void Simulator::run_until(Time end) { run_until(end, nullptr); }
 

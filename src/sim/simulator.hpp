@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "sim/cancel.hpp"
@@ -69,17 +69,13 @@ class Simulator {
   /// Schedule `fn` after a delay from now. Negative delays clamp to zero.
   EventId schedule_after(Duration delay, EventFn fn);
 
-  /// Schedule `fn` every `period`, starting at `first`. The callback
-  /// receives no arguments; read now() for the tick time. Returns the id
-  /// of the *first* occurrence; cancel_periodic() stops the chain, also
-  /// from inside its own callback.
-  EventId schedule_periodic(Time first, Duration period, EventFn fn);
+  /// Schedule `fn` every `period`, starting at `first`, for the rest of
+  /// the simulator's life. The callback receives no arguments; read now()
+  /// for the tick time.
+  void schedule_periodic(Time first, Duration period, EventFn fn);
 
   /// Cancel a pending one-shot event.
   bool cancel(EventId id);
-
-  /// Stop a periodic chain started with schedule_periodic.
-  void cancel_periodic(EventId first_id);
 
   /// Run events until the queue empties or the clock would pass `end`.
   /// The clock is left at `end` (or at the last event if the queue
@@ -127,19 +123,15 @@ class Simulator {
   EngineStats stats_;
   LogLinearHistogram* dispatch_us_ = nullptr;
 
-  // A periodic chain, owned here and keyed by its user-visible first id;
-  // its queued occurrence holds a plain pointer to it.
+  // A periodic chain, owned here; its queued occurrence holds a plain
+  // pointer to it.
   struct PeriodicChain {
     Duration period;
     EventFn fn;
-    EventId first_id = 0;
-    EventId pending = 0;     // id of the queued occurrence
-    bool running = false;    // payload executing right now
-    bool cancelled = false;  // cancelled from its own payload
   };
   void run_periodic(PeriodicChain& chain);
 
-  std::unordered_map<EventId, std::unique_ptr<PeriodicChain>> periodic_;
+  std::vector<std::unique_ptr<PeriodicChain>> periodic_;
 };
 
 }  // namespace st::sim

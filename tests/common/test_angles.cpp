@@ -35,12 +35,6 @@ TEST(Angles, WrapPiLargeMagnitudes) {
   EXPECT_NEAR(wrap_pi(-100.0 * kTwoPi - 0.25), -0.25, 1e-9);
 }
 
-TEST(Angles, WrapTwoPiRange) {
-  EXPECT_DOUBLE_EQ(wrap_two_pi(0.0), 0.0);
-  EXPECT_NEAR(wrap_two_pi(-0.1), kTwoPi - 0.1, 1e-12);
-  EXPECT_NEAR(wrap_two_pi(kTwoPi + 0.1), 0.1, 1e-12);
-}
-
 TEST(Angles, AngularDistanceSymmetric) {
   EXPECT_DOUBLE_EQ(angular_distance(0.3, 1.1), angular_distance(1.1, 0.3));
   EXPECT_NEAR(angular_distance(0.3, 1.1), 0.8, 1e-12);

@@ -131,24 +131,6 @@ TEST(Rng, BernoulliRate) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
 }
 
-TEST(Rng, PoissonMeanSmallAndLarge) {
-  Rng rng(16);
-  for (const double mean : {0.5, 3.0, 100.0}) {
-    double sum = 0.0;
-    constexpr int kN = 50'000;
-    for (int i = 0; i < kN; ++i) {
-      sum += rng.poisson(mean);
-    }
-    EXPECT_NEAR(sum / kN, mean, mean * 0.05 + 0.05);
-  }
-}
-
-TEST(Rng, PoissonZeroMean) {
-  Rng rng(17);
-  EXPECT_EQ(rng.poisson(0.0), 0U);
-  EXPECT_EQ(rng.poisson(-1.0), 0U);
-}
-
 TEST(DeriveSeed, DistinctLabelsGiveDistinctStreams) {
   const std::uint64_t root = 99;
   const std::uint64_t a = derive_seed(root, "channel");

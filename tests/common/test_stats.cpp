@@ -153,27 +153,6 @@ TEST(SuccessRate, WilsonHandlesExtremes) {
   EXPECT_EQ(none.wilson95().second, 1.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(3.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(-5.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  EXPECT_EQ(h.total(), 5U);
-  EXPECT_EQ(h.count_in_bin(0), 2U);
-  EXPECT_EQ(h.count_in_bin(1), 1U);
-  EXPECT_EQ(h.count_in_bin(4), 2U);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lower(2), 4.0);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), std::invalid_argument);
-  EXPECT_THROW(Histogram(9.0, 5.0, 3), std::invalid_argument);
-}
-
 TEST(LogLinearHistogram, EmptyReturnsZeros) {
   LogLinearHistogram h;
   EXPECT_TRUE(h.empty());
@@ -260,16 +239,6 @@ TEST(LogLinearHistogram, MergeWithEmptyIsIdentity) {
   empty.merge(h);
   EXPECT_EQ(empty.count(), 1U);
   EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
-TEST(Histogram, AsciiRendersOneLinePerBin) {
-  Histogram h(0.0, 3.0, 3);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string art = h.ascii(10);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 3);
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 }  // namespace

@@ -1,22 +1,18 @@
 // Concurrency stress for the ThreadSanitizer CI job.
 //
-// PRs 1–2 introduced the three concurrency surfaces of the codebase: the
-// parallel batch runner (bench/bench_util.hpp), the thread-safe global
-// Logger (atomic level + mutex-guarded sink), and the obs layer whose
-// ownership model is one TraceRecorder per run, never shared across
-// threads. These tests exist to give TSan *real interleavings* to chew
-// on — they run under the plain build too (where they assert functional
-// properties), but their reason to exist is `-fsanitize=thread`.
+// Two concurrency surfaces are covered here: the parallel batch runner
+// (bench/bench_util.hpp) and the obs layer, whose ownership model is one
+// TraceRecorder per run, never shared across threads. These tests exist
+// to give TSan *real interleavings* to chew on — they run under the plain
+// build too (where they assert functional properties), but their reason
+// to exist is `-fsanitize=thread`.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "common/logging.hpp"
 #include "core/scenario.hpp"
 #include "obs/trace.hpp"
 
@@ -77,71 +73,6 @@ TEST(BatchRunnerStress, OversubscribedPoolDrainsEverySeed) {
             parallel.alignment_fraction.count());
 }
 
-// ---- Logger ---------------------------------------------------------------
-
-TEST(LoggerStress, ConcurrentLoggingWithLevelAndSinkChurn) {
-  Logger& logger = Logger::global();
-  std::ostringstream sink_a;
-  std::ostringstream sink_b;
-  logger.set_sink(sink_a);
-  logger.set_level(LogLevel::kInfo);
-
-  constexpr int kThreads = 8;
-  constexpr int kMessagesPerThread = 500;
-  std::atomic<bool> stop{false};
-
-  // Churn thread: flips the level and swaps the sink while the writers
-  // are logging — exactly the set_sink()/set_level() concurrency the
-  // Logger documents as safe.
-  std::thread churner([&] {
-    bool use_a = false;
-    while (!stop.load(std::memory_order_relaxed)) {
-      logger.set_sink(use_a ? sink_a : sink_b);
-      logger.set_level(use_a ? LogLevel::kInfo : LogLevel::kWarning);
-      use_a = !use_a;
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&logger, t] {
-      for (int i = 0; i < kMessagesPerThread; ++i) {
-        logger.info("stress", log_message("thread ", t, " message ", i));
-        logger.warning("stress", log_message("warn ", t, ":", i));
-        if (logger.enabled(LogLevel::kDebug)) {
-          logger.debug("stress", "never emitted at these levels");
-        }
-      }
-    });
-  }
-  for (std::thread& w : writers) {
-    w.join();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  churner.join();
-
-  // Restore the defaults other suites expect.
-  logger.set_level(LogLevel::kWarning);
-
-  // Concurrent log() calls serialise: every retained line is complete —
-  // it carries the level tag, the component, and a trailing newline; no
-  // interleaved half-lines.
-  for (std::ostringstream* sink : {&sink_a, &sink_b}) {
-    std::istringstream lines(sink->str());
-    std::string line;
-    while (std::getline(lines, line)) {
-      EXPECT_EQ(line.front(), '[') << line;
-      EXPECT_NE(line.find("stress: "), std::string::npos) << line;
-    }
-  }
-  // At least the warnings always pass the level churn (kInfo or
-  // kWarning both admit kWarning).
-  std::string all = sink_a.str() + sink_b.str();
-  EXPECT_NE(all.find("warn "), std::string::npos);
-}
-
 // ---- obs ring buffers -----------------------------------------------------
 
 TEST(TraceBufferStress, PerThreadBuffersUnderConcurrentPushAndSnapshot) {
@@ -196,8 +127,8 @@ TEST(TraceBufferStress, PerThreadBuffersUnderConcurrentPushAndSnapshot) {
 TEST(EmitterStress, ConcurrentEmittersFanOutToPrivateSinks) {
   // One Emitter + full sink set per thread (trace recorder, protocol
   // counters) emitting concurrently and rendering its narrative — the
-  // per-run recording the parallel batch runner executes, with the shared
-  // global Logger alive next to it.
+  // per-run recording the parallel batch runner executes, with nothing
+  // shared between the threads.
   constexpr int kThreads = 6;
   constexpr std::uint64_t kEvents = 5'000;
 

@@ -9,7 +9,6 @@
 #include "common/angles.hpp"
 #include "common/units.hpp"
 #include "mobility/composite.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "mobility/rotation.hpp"
 #include "mobility/trace.hpp"
 #include "mobility/vehicular.hpp"
@@ -110,15 +109,13 @@ TEST(MotionBound, StationaryNeverMoves) {
   EXPECT_EQ(b.until, MotionBound::kForever);
 }
 
-TEST(MotionBound, TraceAndRandomWaypointAreUncertified) {
+TEST(MotionBound, TracePlaybackIsUncertified) {
   const Time t = Time::zero() + 250_ms;
   std::vector<TraceSample> samples;
   samples.push_back({Time::zero(), {0.0, 0.0, 0.0}, 0.0});
   samples.push_back({Time::zero() + 1_s, {1.0, 0.0, 0.0}, 0.0});
   const TracePlayback trace(std::move(samples));
   EXPECT_EQ(trace.motion_bound(t).until, t);
-  const RandomWaypoint rwp(RandomWaypointConfig{}, {1.0, 1.0, 0.0}, 10_s, 5);
-  EXPECT_EQ(rwp.motion_bound(t).until, t);
 }
 
 }  // namespace

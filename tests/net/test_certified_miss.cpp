@@ -147,14 +147,17 @@ std::vector<std::uint64_t> detection_draws(RadioEnvironment& env, Time t) {
   return out;
 }
 
-/// Draws that expose both RNG streams: measured RSS on the best pair
-/// (measurement noise), then detection_draws.
+/// Draws that expose both RNG streams: SSB observations on the best pair
+/// (a detected one carries measurement noise in its RSS), then
+/// detection_draws.
 std::vector<std::uint64_t> trailing_draws(RadioEnvironment& env, Time t) {
   std::vector<std::uint64_t> out;
   const auto best = env.ground_truth_best_pair(0, t);
   for (int i = 0; i < 8; ++i) {
-    out.push_back(
-        bits(env.measure_link_rss_dbm(0, best.tx_beam, best.rx_beam, t)));
+    const SsbObservation obs =
+        env.observe_ssb(0, best.tx_beam, best.rx_beam, t);
+    out.push_back(obs.detected ? 1U : 0U);
+    out.push_back(bits(obs.rss_dbm));
   }
   for (const std::uint64_t d : detection_draws(env, t)) {
     out.push_back(d);

@@ -135,17 +135,6 @@ TEST(Environment, PowerRampingImprovesUplink) {
   EXPECT_GT(ramped, 50);
 }
 
-TEST(Environment, MeasureLinkRssReportsFloorWhenHopeless) {
-  auto ue = test::standing_at({0.0, 10.0, 0.0});
-  auto env = test::make_two_cell_env(ue, 0.0);
-  // Find a hopeless pair on the far cell.
-  double rss = 1e9;
-  for (const auto& b : env.bs(1).codebook().beams()) {
-    rss = std::min(rss, env.measure_link_rss_dbm(1, b.id(), 0, Time::zero()));
-  }
-  EXPECT_DOUBLE_EQ(rss, env.link_budget().noise_floor_dbm());
-}
-
 TEST(Environment, ClosenessOrdersRss) {
   auto ue = test::standing_at({10.0, 10.0, 0.0});  // near cell 0
   auto env = test::make_two_cell_env(ue);

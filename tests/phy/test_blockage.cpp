@@ -37,7 +37,6 @@ TEST(Blockage, ZeroRateMeansNoEvents) {
   const BlockageProcess p(c, 100_s, 1);
   EXPECT_EQ(p.event_count(), 0U);
   EXPECT_DOUBLE_EQ(p.attenuation_db(Time::zero() + 5_s), 0.0);
-  EXPECT_FALSE(p.fully_blocked(Time::zero() + 5_s));
 }
 
 TEST(Blockage, EventCountMatchesRate) {
@@ -69,16 +68,6 @@ TEST(Blockage, RampUpFlatRampDownShape) {
   EXPECT_NEAR(p.attenuation_db(mid_ramp), e.attenuation_db / 2.0, 1e-6);
   EXPECT_DOUBLE_EQ(p.attenuation_db(flat), e.attenuation_db);
   EXPECT_DOUBLE_EQ(p.attenuation_db(after), 0.0);
-}
-
-TEST(Blockage, FullyBlockedOnlyDuringFlatPhase) {
-  const BlockageProcess p(fast_config(), 30_s, 9);
-  ASSERT_GT(p.event_count(), 0U);
-  const auto& e = p.events().front();
-  EXPECT_FALSE(p.fully_blocked(e.onset + Duration::seconds_of(0.01)));
-  EXPECT_TRUE(p.fully_blocked(e.onset + e.ramp +
-                              Duration::nanoseconds(e.flat.ns() / 2)));
-  EXPECT_FALSE(p.fully_blocked(e.onset + e.ramp + e.flat + e.ramp));
 }
 
 TEST(Blockage, EventsDoNotOverlap) {

@@ -80,15 +80,6 @@ TEST(EventQueue, PopOnEmptyThrows) {
   EXPECT_THROW((void)q.next_time(), std::logic_error);
 }
 
-TEST(EventQueue, ClearRemovesEverything) {
-  EventQueue q;
-  q.push(Time::zero(), [] {});
-  q.push(Time::zero() + 1_ms, [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0U);
-}
-
 TEST(EventQueue, EntryCarriesScheduledTime) {
   EventQueue q;
   q.push(Time::zero() + 7_ms, [] {});

@@ -85,43 +85,9 @@ TEST(Simulator, PeriodicFiresAtPeriod) {
   EXPECT_EQ(ticks, (std::vector<double>{5.0, 15.0, 25.0, 35.0}));
 }
 
-TEST(Simulator, CancelPeriodicStopsChain) {
-  Simulator sim;
-  int ticks = 0;
-  const EventId chain =
-      sim.schedule_periodic(Time::zero(), 10_ms, [&] { ++ticks; });
-  sim.schedule_at(Time::zero() + 25_ms, [&] { sim.cancel_periodic(chain); });
-  sim.run_until(Time::zero() + 100_ms);
-  EXPECT_EQ(ticks, 3);  // t=0, 10, 20
-}
-
-TEST(Simulator, CancelPeriodicBeforeFirstFire) {
-  Simulator sim;
-  int ticks = 0;
-  const EventId chain =
-      sim.schedule_periodic(Time::zero() + 10_ms, 10_ms, [&] { ++ticks; });
-  sim.cancel_periodic(chain);
-  sim.run_until(Time::zero() + 100_ms);
-  EXPECT_EQ(ticks, 0);
-}
-
-TEST(Simulator, PeriodicChainCanCancelItself) {
-  Simulator sim;
-  int ticks = 0;
-  EventId chain = 0;
-  chain = sim.schedule_periodic(Time::zero(), 10_ms, [&] {
-    if (++ticks == 3) {
-      sim.cancel_periodic(chain);
-    }
-  });
-  sim.run_until(Time::zero() + 100_ms);
-  EXPECT_EQ(ticks, 3);  // t=0, 10, 20
-  EXPECT_TRUE(sim.idle());
-}
-
 TEST(Simulator, DestroyingSimulatorReleasesPeriodicChains) {
   // Counts live copies of a capture: every one must be gone once the
-  // simulator is, whether its chain ran, was cancelled or never fired.
+  // simulator is, whether its chain ran or never fired.
   struct Probe {
     int* live;
     explicit Probe(int* counter) : live(counter) { ++*live; }
@@ -134,11 +100,8 @@ TEST(Simulator, DestroyingSimulatorReleasesPeriodicChains) {
     Simulator sim;
     const Probe probe(&live);
     sim.schedule_periodic(Time::zero(), 10_ms, [probe] {});
-    const EventId cancelled =
-        sim.schedule_periodic(Time::zero() + 5_ms, 10_ms, [probe] {});
     sim.schedule_periodic(Time::zero() + 1000_ms, 10_ms, [probe] {});
     sim.run_until(Time::zero() + 50_ms);
-    sim.cancel_periodic(cancelled);
   }
   EXPECT_EQ(live, 0);
 }
