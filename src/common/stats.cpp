@@ -17,7 +17,6 @@ void RunningStats::add(double x) noexcept {
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
 
 void RunningStats::merge(const RunningStats& other) noexcept {
@@ -33,20 +32,10 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   const double delta = other.mean_ - mean_;
   const double total = na + nb;
   mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
   n_ += other.n_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }
-
-double RunningStats::variance() const noexcept {
-  if (n_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void SampleSet::add_all(std::span<const double> xs) {
   samples_.insert(samples_.end(), xs.begin(), xs.end());
@@ -62,18 +51,6 @@ double SampleSet::mean() const noexcept {
     sum += x;
   }
   return sum / static_cast<double>(samples_.size());
-}
-
-double SampleSet::stddev() const noexcept {
-  if (samples_.size() < 2) {
-    return 0.0;
-  }
-  const double m = mean();
-  double m2 = 0.0;
-  for (const double x : samples_) {
-    m2 += (x - m) * (x - m);
-  }
-  return std::sqrt(m2 / static_cast<double>(samples_.size() - 1));
 }
 
 double SampleSet::min() const noexcept {

@@ -1,5 +1,5 @@
 // Descriptive statistics used by the benchmark harness and metric layer:
-// streaming mean/variance (Welford), exact percentiles over stored samples,
+// streaming mean/min/max, exact percentiles over stored samples,
 // log-linear histograms, and normal-approximation confidence intervals for
 // success rates. The bench binaries report mean / p50 / p95 like the
 // paper's latency plots.
@@ -12,7 +12,7 @@
 
 namespace st {
 
-/// Streaming mean / variance / min / max without storing samples.
+/// Streaming mean / min / max without storing samples.
 class RunningStats {
  public:
   void add(double x) noexcept;
@@ -21,16 +21,12 @@ class RunningStats {
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
   [[nodiscard]] double mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
-  /// Unbiased sample variance (0 for fewer than two samples).
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -48,7 +44,6 @@ class SampleSet {
   [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
   [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept;
   [[nodiscard]] double max() const noexcept;
 

@@ -414,15 +414,6 @@ std::size_t ScenarioResult::successful_handovers() const noexcept {
   return n;
 }
 
-bool ScenarioResult::all_handovers_aligned() const noexcept {
-  for (const auto& h : handovers) {
-    if (h.success && !h.beam_aligned_at_completion) {
-      return false;
-    }
-  }
-  return true;
-}
-
 ScenarioResult run_scenario_ue(const ScenarioSpec& spec, std::size_t ue,
                                const net::Deployment& deployment,
                                const sim::CancelToken* cancel) {

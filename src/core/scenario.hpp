@@ -81,7 +81,6 @@ struct ScenarioResult {
   [[nodiscard]] std::size_t soft_handovers() const noexcept;
   [[nodiscard]] std::size_t hard_handovers() const noexcept;
   [[nodiscard]] std::size_t successful_handovers() const noexcept;
-  [[nodiscard]] bool all_handovers_aligned() const noexcept;
 };
 
 /// Build the shared deployment of a spec: spec.n_cells cells in the

@@ -253,51 +253,6 @@ bool write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
   return os.good();
 }
 
-bool write_trace_jsonl(const TraceRecorder& recorder, std::ostream& os) {
-  // Merge all component buffers into one time-ordered stream. Each buffer
-  // is already in time order (sim time is monotonic), so a stable sort by
-  // timestamp over the concatenation preserves per-component order.
-  struct Tagged {
-    Component component;
-    TraceEvent event;
-  };
-  std::vector<Tagged> all;
-  for (std::size_t i = 0; i < kComponentCount; ++i) {
-    const Component component = static_cast<Component>(i);
-    for (const TraceEvent& e : recorder.buffer(component).snapshot()) {
-      all.push_back({component, e});
-    }
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     return a.event.t < b.event.t;
-                   });
-
-  for (const Tagged& entry : all) {
-    const TraceEvent& e = entry.event;
-    os << "{\"t_ns\":" << e.t.ns() << ",\"component\":\""
-       << to_string(entry.component) << "\",\"type\":\""
-       << to_string(e.type) << "\"";
-    if (e.cell >= 0) {
-      os << ",\"cell\":" << e.cell;
-    }
-    if (e.beam_a >= 0) {
-      os << ",\"beam_a\":" << e.beam_a;
-    }
-    if (e.beam_b >= 0) {
-      os << ",\"beam_b\":" << e.beam_b;
-    }
-    os << ",\"value\":" << fmt_double(e.value)
-       << ",\"value2\":" << fmt_double(e.value2)
-       << ",\"flag\":" << (e.flag ? "true" : "false");
-    if (!e.label.empty()) {
-      os << ",\"label\":\"" << escape(e.label) << "\"";
-    }
-    os << "}\n";
-  }
-  return os.good();
-}
-
 bool write_chrome_trace_file(const TraceRecorder& recorder,
                              const std::string& path) {
   std::ofstream os(path);

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "common/json.hpp"
 #include "core/scenario_spec.hpp"
 #include "sim/cancel.hpp"
 
@@ -48,6 +47,16 @@ inline constexpr std::size_t kJobStateCount = 6;
 
 /// Throws contracts::ContractViolation on an illegal lifecycle edge.
 void check_job_transition(JobState from, JobState to);
+
+/// One entry of a job's event log: a state entered, or (`progress`) a
+/// UE of the running job completed. The `events` poll and the telemetry
+/// bus both render from it; its `seq` is its index in Job::events.
+struct JobEvent {
+  std::uint64_t t_ns = 0;  ///< server clock (Server::now_ns)
+  JobState state = JobState::kQueued;  ///< entered, or kRunning if progress
+  bool progress = false;               ///< a `ue_complete` event
+  std::uint64_t ues_completed = 0;     ///< rendered by progress events
+};
 
 /// One server-side job record. All mutable fields are guarded by the
 /// server's state mutex; the cancellation token is the one lock-free
@@ -74,11 +83,10 @@ struct Job {
   std::uint64_t ues_total = 0;
   std::uint64_t ues_completed = 0;
 
-  /// Progress event log served by the `events` request, in seq order.
-  /// Events are appended on every state change and UE completion and
-  /// never dropped (a job's event count is bounded by 6 + fleet size).
-  std::vector<json::Value> events;
-  std::uint64_t next_event_seq = 0;
+  /// Event log, in seq order. Events are appended on every state change
+  /// and UE completion and never dropped (a job's event count is bounded
+  /// by 3 + fleet size).
+  std::vector<JobEvent> events;
 
   std::chrono::steady_clock::time_point submitted_at{};
   std::chrono::steady_clock::time_point started_at{};

@@ -73,6 +73,21 @@ namespace {
   return v;
 }
 
+/// The `events` poll's rendering of a job's event `seq`; the bus payload
+/// is this object plus "id" and "state".
+[[nodiscard]] json::Value event_json(const Job& job, std::uint64_t seq) {
+  const JobEvent& e = job.events[seq];
+  json::Value v = json::Value::object();
+  v.set("seq", json::Value::unsigned_integer(seq));
+  v.set("event", json::Value::string(std::string(
+                     e.progress ? "ue_complete" : to_string(e.state))));
+  if (e.progress) {
+    v.set("ues_completed", json::Value::unsigned_integer(e.ues_completed));
+    v.set("ues_total", json::Value::unsigned_integer(job.ues_total));
+  }
+  return v;
+}
+
 }  // namespace
 
 Server::Server(ServerConfig config)
@@ -164,10 +179,10 @@ void Server::request_drain() {
     draining_ = true;
   }
   queue_.close();
-  state_changed_.notify_all();
 }
 
-bool Server::drained_locked() const {
+bool Server::drained() {
+  const MutexLock lock(state_mutex_);
   if (!draining_) {
     return false;
   }
@@ -177,18 +192,6 @@ bool Server::drained_locked() const {
     }
   }
   return true;
-}
-
-bool Server::drained() {
-  const MutexLock lock(state_mutex_);
-  return drained_locked();
-}
-
-void Server::wait_drained() {
-  const MutexLock lock(state_mutex_);
-  while (!drained_locked()) {
-    state_changed_.wait(state_mutex_);
-  }
 }
 
 json::Value Server::handle(const json::Value& request) {
@@ -271,7 +274,7 @@ json::Value Server::handle_submit(const json::Value& request) {
   jobs_.emplace(id, std::move(job));
   metrics_.counter("serve.jobs.submitted").increment();
   metrics_.counter("serve.jobs.queued").increment();
-  append_event_locked(record, "queued");
+  append_event_locked(record, /*progress=*/false);
 
   if (!queue_.try_push(id)) {
     transition_locked(record, JobState::kShed);
@@ -333,16 +336,13 @@ json::Value Server::handle_events(const json::Value& request) {
                           "no job with id " + std::to_string(id));
   }
   json::Value events = json::Value::array();
-  for (const json::Value& e : job->events) {
-    const json::Value* seq = e.find("seq");
-    if (seq != nullptr && seq->as_u64() >= after) {
-      events.push_back(e);
-    }
+  for (std::uint64_t seq = after; seq < job->events.size(); ++seq) {
+    events.push_back(event_json(*job, seq));
   }
   json::Value v = ok_response();
   v.set("id", json::Value::unsigned_integer(id));
   v.set("events", std::move(events));
-  v.set("next", json::Value::unsigned_integer(job->next_event_seq));
+  v.set("next", json::Value::unsigned_integer(job->events.size()));
   v.set("state", json::Value::string(std::string(to_string(job->state))));
   return v;
 }
@@ -569,46 +569,49 @@ void Server::transition_locked(Job& job, JobState to) {
   job.state = to;
   metrics_.counter(std::string("serve.jobs.") + std::string(to_string(to)))
       .increment();
-  append_event_locked(job, to_string(to));
-  state_changed_.notify_all();
+  append_event_locked(job, /*progress=*/false);
 }
 
-void Server::append_event_locked(Job& job, std::string_view kind) {
-  json::Value e = json::Value::object();
-  e.set("seq", json::Value::unsigned_integer(job.next_event_seq++));
-  e.set("event", json::Value::string(std::string(kind)));
-  const bool progress = kind == "ue_complete";
-  if (progress) {
-    e.set("ues_completed", json::Value::unsigned_integer(job.ues_completed));
-    e.set("ues_total", json::Value::unsigned_integer(job.ues_total));
-  }
-
+void Server::append_event_locked(Job& job, bool progress) {
+  const JobEvent& e = job.events.emplace_back(
+      JobEvent{now_ns(), job.state, progress, job.ues_completed});
   // Mirror the polled event onto the telemetry bus: same seq (so a
   // streamed gap can be backfilled through the `events` cursor), plus
   // the job id and state the per-job poll path carries implicitly.
-  const std::uint64_t t = now_ns();
-  json::Value payload = e;
+  // Publishing under state_mutex_ keeps bus order equal to seq order.
+  json::Value payload = event_json(job, job.events.size() - 1);
   payload.set("id", json::Value::unsigned_integer(job.id));
-  payload.set("state",
-              json::Value::string(std::string(to_string(job.state))));
+  payload.set("state", json::Value::string(std::string(to_string(e.state))));
   bus_.publish(progress ? obs::TelemetryKind::kProgress
                         : obs::TelemetryKind::kJobEvent,
-               t, payload);
+               e.t_ns, payload);
+}
 
-  if (!progress) {
-    // Every lifecycle event is a state entry; recorded as a trace event
-    // the Perfetto exporter renders as per-job async spans. `kind` is a
-    // string literal at every call site, satisfying TraceEvent's label
-    // lifetime contract.
-    obs::TraceEvent te;
-    te.t = sim::Time::from_ns(static_cast<std::int64_t>(t));
-    te.type = obs::TraceEventType::kStateTransition;
-    te.cell = static_cast<std::int64_t>(job.id);
-    te.label = kind;
-    trace_.record(obs::Component::kServe, te);
+obs::TraceRecorder Server::job_trace() const {
+  const MutexLock lock(state_mutex_);
+  std::vector<obs::TraceEvent> entered;  // kStateTransition by default
+  for (const auto& [id, job] : jobs_) {
+    for (const JobEvent& e : job->events) {
+      if (!e.progress) {
+        // to_string returns a string literal, which outlives the recorder.
+        entered.push_back(
+            {.t = sim::Time::from_ns(static_cast<std::int64_t>(e.t_ns)),
+             .cell = static_cast<std::int64_t>(id),
+             .label = to_string(e.state)});
+      }
+    }
   }
-
-  job.events.push_back(std::move(e));
+  // Jobs are visited in id order and each log is in time order, so a
+  // stable sort by time keeps every job's own order.
+  std::stable_sort(entered.begin(), entered.end(),
+                   [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                     return a.t < b.t;
+                   });
+  obs::TraceRecorder recorder(obs::TraceConfig{entered.size()});
+  for (const obs::TraceEvent& e : entered) {
+    recorder.record(obs::Component::kServe, e);
+  }
+  return recorder;
 }
 
 std::uint64_t Server::now_ns() const noexcept {
@@ -869,8 +872,7 @@ void Server::run_job(std::uint64_t id) {
     }
     job->ues_completed = static_cast<std::uint64_t>(completed);
     job->ues_total = static_cast<std::uint64_t>(total);
-    append_event_locked(*job, "ue_complete");
-    state_changed_.notify_all();
+    append_event_locked(*job, /*progress=*/true);
   };
 
   std::string report;

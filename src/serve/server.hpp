@@ -99,10 +99,6 @@ class Server {
   /// no job running).
   [[nodiscard]] bool drained() ST_EXCLUDES(state_mutex_);
 
-  /// Block until drained (request_drain() must have been called, by
-  /// this process or via a client `drain` request).
-  void wait_drained() ST_EXCLUDES(state_mutex_);
-
   /// Dispatch one parsed request to a response — the entire protocol
   /// minus framing. Never throws: internal errors become typed
   /// `internal` error responses.
@@ -120,12 +116,10 @@ class Server {
   /// Exposed so tests and benches can subscribe in-process.
   [[nodiscard]] obs::TelemetryBus& telemetry() noexcept { return bus_; }
 
-  /// Job-span trace of the daemon's queue (Component::kServe, one async
-  /// span per job state). Export with obs::write_chrome_trace_file after
-  /// stop(); `stserved --trace-out` does exactly that.
-  [[nodiscard]] const obs::TraceRecorder& trace() const noexcept {
-    return trace_;
-  }
+  /// The job timeline, rendered from the job table: one Component::kServe
+  /// kStateTransition per state a job entered (cell = job id, label =
+  /// state), in time order. `stserved --trace-out` exports it on exit.
+  [[nodiscard]] obs::TraceRecorder job_trace() const ST_EXCLUDES(state_mutex_);
 
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
 
@@ -147,15 +141,12 @@ class Server {
   /// caller holds state_mutex_ (a compile error otherwise under clang).
   /// Trips the contract checker (and throws) on an illegal edge.
   void transition_locked(Job& job, JobState to) ST_REQUIRES(state_mutex_);
-  void append_event_locked(Job& job, std::string_view kind)
+  /// Append one event to the job's log and publish it on the bus.
+  void append_event_locked(Job& job, bool progress)
       ST_REQUIRES(state_mutex_);
 
   [[nodiscard]] Job* find_job_locked(std::uint64_t id)
       ST_REQUIRES(state_mutex_);
-
-  /// Drain-complete predicate over the job table; callers loop on it
-  /// around state_changed_ waits.
-  [[nodiscard]] bool drained_locked() const ST_REQUIRES(state_mutex_);
 
   /// Nanoseconds since server construction — the t_ns clock of every
   /// telemetry frame and trace event.
@@ -185,8 +176,7 @@ class Server {
 
   // The server-wide control-plane lock: every job record, the metric
   // registry, and each lifecycle transition mutate under it.
-  Mutex state_mutex_;
-  CondVar state_changed_;
+  mutable Mutex state_mutex_;
   std::map<std::uint64_t, std::unique_ptr<Job>> jobs_
       ST_GUARDED_BY(state_mutex_);
   std::uint64_t next_job_id_ ST_GUARDED_BY(state_mutex_) = 1;
@@ -195,10 +185,6 @@ class Server {
   bool draining_ ST_GUARDED_BY(state_mutex_) = false;
 
   obs::TelemetryBus bus_;  // internally synchronized
-  // Written only from append_event_locked (under state_mutex_); read by
-  // trace() strictly after stop() has joined every thread, so the
-  // returned reference is unguarded by contract, not by a capability.
-  obs::TraceRecorder trace_;
   const std::chrono::steady_clock::time_point started_at_ =
       std::chrono::steady_clock::now();
 

@@ -118,9 +118,6 @@ TEST(Scenario, SummariesCountCorrectly) {
   EXPECT_EQ(r.soft_handovers(), 1U);
   EXPECT_EQ(r.hard_handovers(), 2U);
   EXPECT_EQ(r.successful_handovers(), 2U);
-  EXPECT_FALSE(r.all_handovers_aligned());
-  r.handovers = {soft, failed};
-  EXPECT_TRUE(r.all_handovers_aligned());
 }
 
 TEST(Scenario, NamesForDisplay) {

@@ -1,6 +1,5 @@
 // Exporters: the Chrome/Perfetto trace must be structurally sound
-// (balanced B/E slices, metadata tracks, instant events with args) and
-// the JSONL dump one time-ordered object per event.
+// (balanced B/E slices, metadata tracks, instant events with args).
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
@@ -96,48 +95,6 @@ TEST(ChromeTrace, SlicesAreBalancedAndTracksNamed) {
             std::string::npos);
   EXPECT_NE(out.find("\"args\":{\"name\":\"beamsurfer\"}"),
             std::string::npos);
-}
-
-TEST(TraceJsonl, OneLinePerEventInTimeOrder) {
-  const obs::TraceRecorder recorder = make_recorder();
-  std::ostringstream os;
-  ASSERT_TRUE(obs::write_trace_jsonl(recorder, os));
-
-  std::istringstream in(os.str());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) {
-    lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 4u);
-  // Merged across components, sorted by t: 0, 20, 50, 100 ms.
-  EXPECT_NE(lines[0].find("\"t_ns\":0"), std::string::npos);
-  EXPECT_NE(lines[0].find("\"label\":\"Searching\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"t_ns\":20000000"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"component\":\"beamsurfer\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"t_ns\":50000000"), std::string::npos);
-  EXPECT_NE(lines[2].find("\"type\":\"rss_sample\""), std::string::npos);
-  EXPECT_NE(lines[3].find("\"t_ns\":100000000"), std::string::npos);
-  EXPECT_NE(lines[3].find("\"cell\":1"), std::string::npos);
-
-  // Every line carries the always-present fields.
-  for (const std::string& line : lines) {
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"value\":"), std::string::npos);
-    EXPECT_NE(line.find("\"flag\":"), std::string::npos);
-  }
-}
-
-TEST(TraceJsonl, OmitsUnsetOptionalFields) {
-  obs::TraceRecorder recorder;
-  recorder.record(Component::kBeamSurfer,
-                  {.t = at_ms(1), .type = TraceEventType::kRecoverySweep});
-  std::ostringstream os;
-  ASSERT_TRUE(obs::write_trace_jsonl(recorder, os));
-  const std::string out = os.str();
-  EXPECT_EQ(out.find("\"cell\""), std::string::npos);
-  EXPECT_EQ(out.find("\"beam_a\""), std::string::npos);
-  EXPECT_EQ(out.find("\"label\""), std::string::npos);
 }
 
 TEST(WriteTextFile, RoundTripsAndFailsOnBadPath) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -189,7 +190,12 @@ TEST(ServerContention, ConcurrentCancelPopAndShedKeepLifecycleConsistent) {
     t.join();
   }
   server.request_drain();
-  server.wait_drained();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!server.drained()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   cancel_done.store(true, std::memory_order_release);
   canceller.join();
 

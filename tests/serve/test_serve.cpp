@@ -1,7 +1,8 @@
 // The scenario service end to end: job lifecycle, overload shedding,
-// cooperative cancellation, graceful drain, server health metrics, and
-// hostile wire-protocol input — plus the acceptance pin that a served
-// job's report is bit-identical to calling run_fleet directly.
+// cooperative cancellation, graceful drain, server health metrics, the
+// exported job timeline, and hostile wire-protocol input — plus the
+// acceptance pin that a served job's report is bit-identical to calling
+// run_fleet directly.
 //
 // Lifecycle/robustness tests run against Server::handle() without a
 // socket (an unstarted Server has no workers, so queued jobs hold
@@ -14,12 +15,16 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/json.hpp"
 #include "core/spec_json.hpp"
 #include "fleet/engine.hpp"
+#include "obs/export.hpp"
 #include "serve/client.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
@@ -216,6 +221,13 @@ TEST(ServeHandle, EventsAreCursorable) {
   Value after = typed_id("events", id);
   after.set("after", *all.find("next"));
   EXPECT_TRUE(server.handle(after).find("events")->items().empty());
+
+  // Resume mid-log: the events from that seq on.
+  after.set("after", Value::unsigned_integer(1));
+  const Value tail = server.handle(after);
+  ASSERT_EQ(tail.find("events")->items().size(), 1U);
+  EXPECT_EQ(tail.find("events")->items()[0].dump(), events[1].dump());
+  EXPECT_EQ(tail.find("next")->as_u64(), 2U);
 }
 
 TEST(ServeJobStateMachine, TableMatchesLifecycle) {
@@ -237,6 +249,74 @@ TEST(ServeJobStateMachine, TableMatchesLifecycle) {
   EXPECT_TRUE(job_state_terminal(JobState::kDone));
   EXPECT_TRUE(job_state_terminal(JobState::kShed));
   EXPECT_FALSE(job_state_terminal(JobState::kRunning));
+}
+
+// ---- the --trace-out job timeline ------------------------------------------
+
+TEST(ServeJobTrace, OneAsyncSpanPerStateEnteredAndATerminalInstant) {
+  ServerConfig config;
+  config.socket_path = test_socket_path("trace");
+  config.workers = 1;
+  config.queue_capacity = 1;
+  config.fleet_threads = 1;
+  Server server(config);
+  const char* job =
+      R"({"preset": "paper_walk", "overrides": {"duration_ms": 500}})";
+  // No worker pops before start(), so the queue's one slot settles the
+  // order: job 1 is cancelled while queued, and job 2 is shed behind it.
+  const Value first = server.handle(submit_request(job));
+  ASSERT_TRUE(ok(first));
+  const std::uint64_t cancelled = first.find("id")->as_u64();
+  ASSERT_TRUE(ok(server.handle(typed_id("cancel", cancelled))));
+  const Value second = server.handle(submit_request(job));
+  ASSERT_EQ(error_code(second), "shed");
+  const std::uint64_t shed = second.find("id")->as_u64();
+
+  // The worker pops the cancelled id and skips it; the slot is then free.
+  server.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.handle(parse(R"({"type": "stats"})"))
+             .find("stats")
+             ->find("queue_depth")
+             ->as_u64() != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const Value third = server.handle(submit_request(job));
+  ASSERT_TRUE(ok(third));
+  const std::uint64_t done = third.find("id")->as_u64();
+  while (state_of(server.handle(typed_id("status", done))) != "done") {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.stop();
+
+  std::ostringstream os;
+  ASSERT_TRUE(st::obs::write_chrome_trace(server.job_trace(), os));
+  const Value doc = parse(os.str());
+  // "ph:name" of every async job event, per chrome async id, in order.
+  std::map<std::string, std::vector<std::string>> spans;
+  for (const Value& e : doc.find("traceEvents")->items()) {
+    const Value* cat = e.find("cat");
+    if (cat == nullptr || cat->as_string() != "job") {
+      continue;
+    }
+    spans[e.find("id")->as_string()].push_back(e.find("ph")->as_string() +
+                                               ":" +
+                                               e.find("name")->as_string());
+  }
+  const auto key = [](std::uint64_t id) {
+    return "job-" + std::to_string(id);
+  };
+  ASSERT_EQ(spans.size(), 3U);
+  EXPECT_EQ(spans[key(cancelled)],
+            (std::vector<std::string>{"b:queued", "e:queued", "n:cancelled"}));
+  EXPECT_EQ(spans[key(shed)],
+            (std::vector<std::string>{"b:queued", "e:queued", "n:shed"}));
+  EXPECT_EQ(spans[key(done)],
+            (std::vector<std::string>{"b:queued", "e:queued", "b:running",
+                                      "e:running", "n:done"}));
 }
 
 // ---- loopback tests (real daemon over a real socket) ----------------------
@@ -363,8 +443,12 @@ TEST_F(ServeLoopback, GracefulDrainFinishesRunningJobs) {
   ASSERT_TRUE(final_status.has_value());
   EXPECT_EQ(state_of(*final_status), "done");
   EXPECT_TRUE(ok(client_.result(id)));
-  server_->wait_drained();
-  EXPECT_TRUE(server_->drained());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!server_->drained()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 TEST_F(ServeLoopback, StatsReportServerHealth) {

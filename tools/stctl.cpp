@@ -26,6 +26,7 @@
 #include <string>
 #include <thread>
 
+#include "bench/options.hpp"
 #include "serve/client.hpp"
 
 namespace {
@@ -182,52 +183,39 @@ void render_event_frame(const Value& frame) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using st::bench::store;
   std::string socket_path;
-  std::string command;
   std::string preset;
   std::string seed;
   std::string overrides;
-  std::string after = "0";
-  std::string timeout_ms = "120000";
-  std::string period_ms = "1000";
-  std::string frames_limit = "0";
-  std::string job_filter;
-  std::uint64_t id = 0;
-  bool have_id = false;
-
+  std::uint64_t after = 0;
+  int timeout_ms = 120000;
+  std::uint32_t period_ms = 1000;
+  std::uint64_t max_frames = 0;
+  std::uint64_t only_job = 0;
+  st::bench::consume_options(argc, argv,
+                             {{"--socket", store(socket_path)},
+                              {"--preset", store(preset)},
+                              {"--seed", store(seed)},
+                              {"--overrides", store(overrides)},
+                              {"--after", store(after)},
+                              {"--timeout-ms", store(timeout_ms)},
+                              {"--period-ms", store(period_ms)},
+                              {"--frames", store(max_frames)},
+                              {"--job", store(only_job)}});
+  // What is left is the positional COMMAND [ID].
+  if (argc < 2 || argc > 3 || socket_path.empty()) {
+    usage();
+  }
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--socket" && has_value) {
-      socket_path = argv[++i];
-    } else if (arg == "--preset" && has_value) {
-      preset = argv[++i];
-    } else if (arg == "--seed" && has_value) {
-      seed = argv[++i];
-    } else if (arg == "--overrides" && has_value) {
-      overrides = argv[++i];
-    } else if (arg == "--after" && has_value) {
-      after = argv[++i];
-    } else if (arg == "--timeout-ms" && has_value) {
-      timeout_ms = argv[++i];
-    } else if (arg == "--period-ms" && has_value) {
-      period_ms = argv[++i];
-    } else if (arg == "--frames" && has_value) {
-      frames_limit = argv[++i];
-    } else if (arg == "--job" && has_value) {
-      job_filter = argv[++i];
-    } else if (command.empty() && !arg.empty() && arg[0] != '-') {
-      command = arg;
-    } else if (!command.empty() && !have_id && !arg.empty() && arg[0] != '-') {
-      id = std::strtoull(arg.c_str(), nullptr, 10);
-      have_id = true;
-    } else {
+    if (argv[i][0] == '-' || argv[i][0] == '\0') {
       usage();
     }
   }
-  if (socket_path.empty() || command.empty()) {
-    usage();
-  }
+  const std::string command = argv[1];
+  const bool have_id = argc == 3;
+  const std::uint64_t id =
+      have_id ? std::strtoull(argv[2], nullptr, 10) : 0;
 
   st::serve::Client client;
   connect_or_die(client, socket_path);
@@ -251,8 +239,7 @@ int main(int argc, char** argv) {
         return print_response(submitted);
       }
       const std::uint64_t job_id = submitted.find("id")->as_u64();
-      const int timeout = static_cast<int>(std::strtol(timeout_ms.c_str(), nullptr, 10));
-      const auto final_status = client.wait(job_id, timeout);
+      const auto final_status = client.wait(job_id, timeout_ms);
       if (!final_status.has_value()) {
         std::fprintf(stderr, "stctl: job %llu timed out\n",
                      static_cast<unsigned long long>(job_id));
@@ -267,16 +254,9 @@ int main(int argc, char** argv) {
     }
     if (command == "watch" || command == "tail") {
       const bool watch = command == "watch";
-      const auto period = static_cast<std::uint32_t>(
-          std::strtoul(period_ms.c_str(), nullptr, 10));
-      const std::uint64_t max_frames =
-          std::strtoull(frames_limit.c_str(), nullptr, 10);
-      const std::uint64_t only_job =
-          job_filter.empty() ? 0
-                             : std::strtoull(job_filter.c_str(), nullptr, 10);
       // watch wants complete snapshots (no merge state client-side);
       // tail wants lifecycle/progress frames only, no snapshots.
-      Value ack = watch ? client.subscribe("stats", period, /*delta=*/false)
+      Value ack = watch ? client.subscribe("stats", period_ms, /*delta=*/false)
                         : client.subscribe("events", 0);
       if (!response_ok(ack)) {
         return print_response(ack);
@@ -310,8 +290,7 @@ int main(int argc, char** argv) {
       return print_response(client.status(id));
     }
     if (command == "events") {
-      return print_response(
-          client.events(id, std::strtoull(after.c_str(), nullptr, 10)));
+      return print_response(client.events(id, after));
     }
     if (command == "result") {
       Value result = client.result(id);
@@ -325,8 +304,7 @@ int main(int argc, char** argv) {
       return print_response(client.cancel(id));
     }
     if (command == "wait") {
-      const int timeout = static_cast<int>(std::strtol(timeout_ms.c_str(), nullptr, 10));
-      const auto final_status = client.wait(id, timeout);
+      const auto final_status = client.wait(id, timeout_ms);
       if (!final_status.has_value()) {
         std::fprintf(stderr, "stctl: job %llu timed out\n",
                      static_cast<unsigned long long>(id));

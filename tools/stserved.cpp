@@ -8,16 +8,17 @@
 //            [--fleet-threads 0] [--trace-out trace.json]
 //
 // --trace-out exports the daemon's job-queue timeline on exit as a
-// Perfetto/chrome trace: one async span per job state (queued, running),
-// terminal states as instants — load it at ui.perfetto.dev.
+// Perfetto/chrome trace, rendered from the job table: one async span per
+// job state (queued, running), terminal states as instants — load it at
+// ui.perfetto.dev.
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "bench/options.hpp"
 #include "obs/export.hpp"
 #include "serve/server.hpp"
 
@@ -38,25 +39,16 @@ void on_signal(int) { g_signalled = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
+  using st::bench::store;
   st::serve::ServerConfig config;
   std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--socket" && has_value) {
-      config.socket_path = argv[++i];
-    } else if (arg == "--workers" && has_value) {
-      config.workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--queue-capacity" && has_value) {
-      config.queue_capacity = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--fleet-threads" && has_value) {
-      config.fleet_threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--trace-out" && has_value) {
-      trace_out = argv[++i];
-    } else {
-      usage();
-    }
-  }
+  st::bench::parse_options(
+      argc, argv,
+      {{"--socket", store(config.socket_path)},
+       {"--workers", store(config.workers)},
+       {"--queue-capacity", store(config.queue_capacity)},
+       {"--fleet-threads", store(config.fleet_threads)},
+       {"--trace-out", store(trace_out)}});
   if (config.socket_path.empty() || config.workers == 0 ||
       config.queue_capacity == 0) {
     usage();
@@ -84,8 +76,7 @@ int main(int argc, char** argv) {
   const bool drained = server.drained();
   server.stop();
   if (!trace_out.empty()) {
-    // All threads are joined, so the recorder is quiescent.
-    if (st::obs::write_chrome_trace_file(server.trace(), trace_out)) {
+    if (st::obs::write_chrome_trace_file(server.job_trace(), trace_out)) {
       std::fprintf(stderr, "stserved: job trace written to %s\n",
                    trace_out.c_str());
     } else {

@@ -84,7 +84,8 @@ socket="$work/stserved.sock"
 ctl=("$build/tools/stctl" --socket "$socket")
 job_id() { sed -n 's/.*"id": *\([0-9][0-9]*\).*/\1/p'; }
 log "run: stserved driven by stctl"
-"$build/tools/stserved" --socket "$socket" --workers 2 >&2 &
+"$build/tools/stserved" --socket "$socket" --workers 2 \
+  --trace-out "$work/serve_trace.json" >&2 &
 served_pid=$!
 "${ctl[@]}" ping >&2
 "${ctl[@]}" tail --frames 1 >&2 &
