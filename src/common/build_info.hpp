@@ -1,8 +1,8 @@
 // Build provenance: which source revision, compiler, and build type
 // produced this binary. Stamped into every RunReport / FleetReport and
 // the daemon's stats response, so an archived bench artifact records
-// exactly what produced it (the runtime-selected SIMD dispatch leg is
-// added by the layers that can see phy — obs sits below it).
+// exactly what produced it (obs::ProvenanceReport::current() adds the
+// runtime-selected SIMD dispatch leg).
 //
 // The values are baked in at configure time (CMake runs `git describe`
 // and captures the compiler id); a tree without git history reports

@@ -167,28 +167,6 @@ void LogLinearHistogram::add(double x) noexcept {
   sum_ += x;
 }
 
-void LogLinearHistogram::merge(const LogLinearHistogram& other) {
-  if (other.sub_ != sub_) {
-    throw std::invalid_argument(
-        "LogLinearHistogram::merge: mismatched sub-bucket resolution");
-  }
-  if (other.total_ == 0) {
-    return;
-  }
-  if (total_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-  sum_ += other.sum_;
-}
-
 double LogLinearHistogram::quantile(double q) const noexcept {
   if (total_ == 0) {
     return 0.0;

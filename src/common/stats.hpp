@@ -100,7 +100,6 @@ class LogLinearHistogram {
   explicit LogLinearHistogram(unsigned sub_buckets_per_octave = 16);
 
   void add(double x) noexcept;
-  void merge(const LogLinearHistogram& other);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
   [[nodiscard]] bool empty() const noexcept { return total_ == 0; }

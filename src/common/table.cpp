@@ -83,40 +83,6 @@ std::string Table::ascii() const {
   return out;
 }
 
-std::string Table::csv() const {
-  auto escape = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) {
-      return s;
-    }
-    std::string quoted = "\"";
-    for (const char c : s) {
-      if (c == '"') {
-        quoted += "\"\"";
-      } else {
-        quoted += c;
-      }
-    }
-    quoted += '"';
-    return quoted;
-  };
-
-  std::string out;
-  auto append_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) {
-        out += ',';
-      }
-      out += escape(cells[c]);
-    }
-    out += '\n';
-  };
-  append_row(headers_);
-  for (const auto& row : rows_) {
-    append_row(row);
-  }
-  return out;
-}
-
 void Table::print(std::ostream& os, const std::string& title) const {
   if (!title.empty()) {
     os << title << '\n';

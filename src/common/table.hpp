@@ -1,6 +1,6 @@
 // Plain-text table rendering for the benchmark harness. Every bench binary
 // prints the rows/series the corresponding paper figure reports; this
-// writer keeps them aligned and can also emit CSV for plotting.
+// writer keeps them aligned.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +24,6 @@ class Table {
 
   /// Render with box-drawing-free ASCII (pipe-separated, padded).
   [[nodiscard]] std::string ascii() const;
-
-  /// Render as CSV (RFC-4180 quoting for cells containing commas/quotes).
-  [[nodiscard]] std::string csv() const;
 
   /// Convenience: print the ASCII rendering with an optional title.
   void print(std::ostream& os, const std::string& title = {}) const;

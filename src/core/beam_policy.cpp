@@ -29,11 +29,6 @@ class SilentTrackerPolicy final : public BeamPolicy {
  public:
   explicit SilentTrackerPolicy(bool full_sweep) : full_sweep_(full_sweep) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return to_string(full_sweep_ ? BeamPolicyKind::kFullSweep
-                                 : BeamPolicyKind::kSilentTracker);
-  }
-
   void plan_probe(const BeamProbeContext& ctx,
                   std::vector<phy::BeamId>& out) override {
     const phy::Codebook& cb = ctx.codebook;
@@ -67,10 +62,6 @@ class SilentTrackerPolicy final : public BeamPolicy {
 class HierarchicalPolicy final : public BeamPolicy {
  public:
   explicit HierarchicalPolicy(unsigned stride) : stride_(stride) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "hierarchical";
-  }
 
   void reset() override { refine_armed_ = false; }
 
@@ -132,10 +123,6 @@ class HierarchicalPolicy final : public BeamPolicy {
 // so every drop causes a switch even when the loss was the channel's.
 class BlindPolicy final : public BeamPolicy {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "blind";
-  }
-
   void plan_probe(const BeamProbeContext& ctx,
                   std::vector<phy::BeamId>& out) override {
     const phy::Codebook& cb = ctx.codebook;

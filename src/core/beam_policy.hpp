@@ -72,8 +72,6 @@ class BeamPolicy {
  public:
   virtual ~BeamPolicy() = default;
 
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
   /// A new tracking episode began (neighbour adopted): clear any
   /// cross-round state.
   virtual void reset() {}
@@ -94,7 +92,6 @@ class BeamPolicy {
   }
 };
 
-/// The policy's name() equals to_string(config.kind).
 [[nodiscard]] std::unique_ptr<BeamPolicy> make_beam_policy(
     const BeamPolicyConfig& config);
 

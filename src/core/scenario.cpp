@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/units.hpp"
-#include "phy/simd.hpp"
 
 namespace st::core {
 
@@ -482,7 +481,6 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
   report.duration_ms = spec.duration.ms();
   report.ue_beamwidth_deg = profile.ue_beamwidth_deg;
   report.n_cells = spec.n_cells;
-  report.provenance.simd_dispatch = std::string(phy::simd::mode());
 
   obs::HandoverReport& ho = report.handover;
   ho.total = result.handovers.size();
@@ -517,43 +515,11 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
   ho.ping_pongs = net::count_ping_pongs(result.handovers,
                                         profile.handover_policy.ping_pong_window);
 
-  obs::RateReport& rr = report.rate;
-  rr.enabled = spec.rate.enabled;
-  rr.samples = result.rate.samples;
-  rr.served_samples = result.rate.served_samples;
-  rr.mean_throughput_mbps = result.rate.mean_throughput_mbps();
-  rr.mean_sinr_db = result.rate.mean_sinr_db();
-  rr.mean_cqi = result.rate.mean_cqi();
-  rr.outage_events = result.rate.outage_events;
-  rr.outage_ms = result.rate.outage_ms;
-  rr.longest_outage_ms = result.rate.longest_outage_ms;
-  rr.outage_fraction = result.rate.outage_fraction();
-
-  report.engine.events_executed = result.engine.events_executed;
-  report.engine.queue_depth_hwm = result.engine.queue_depth_hwm;
-  report.engine.wall_seconds = result.engine.wall_seconds;
-  report.engine.sim_seconds = result.engine.sim_seconds;
-  report.engine.wall_per_sim_second = result.engine.wall_per_sim_second();
-
-  const net::SnapshotCacheStats& cache = result.snapshot_cache;
-  report.snapshot_cache.hits = cache.hits;
-  report.snapshot_cache.refreshes = cache.refreshes;
-  report.snapshot_cache.certified_misses = cache.certified_misses;
-  report.snapshot_cache.cold_misses = cache.cold_misses;
-  report.snapshot_cache.invalidations = cache.invalidations;
-  report.snapshot_cache.pair_sweeps = cache.pair_sweeps;
-  report.snapshot_cache.rx_sweeps = cache.rx_sweeps;
-  report.snapshot_cache.full_builds = cache.full_builds;
-  report.snapshot_cache.incremental_builds = cache.incremental_builds;
-  report.snapshot_cache.geometry_reuses = cache.geometry_reuses;
-  report.snapshot_cache.shadow_reuses = cache.shadow_reuses;
-  report.snapshot_cache.blockage_reuses = cache.blockage_reuses;
-  report.snapshot_cache.azimuth_reuses = cache.azimuth_reuses;
-  report.snapshot_cache.hit_rate = cache.hit_rate();
-
-  for (const auto& [name, value] : result.counters.nonzero()) {
-    report.counters[std::string(name)] = value;
-  }
+  report.rate_enabled = spec.rate.enabled;
+  report.rate = result.rate;
+  report.engine = result.engine;
+  report.snapshot_cache = result.snapshot_cache;
+  report.counters = result.counters;
 
   if (result.trace != nullptr) {
     const obs::TraceRecorder& trace = *result.trace;

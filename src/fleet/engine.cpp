@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "fleet/parallel.hpp"
-#include "phy/simd.hpp"
 
 namespace st::fleet {
 
@@ -89,14 +88,12 @@ obs::FleetReport build_fleet_report(const core::ScenarioSpec& spec,
   report.n_cells = spec.n_cells;
   report.n_ues = result.ue_results.size();
   report.threads = result.threads_used;
-  report.provenance.simd_dispatch = std::string(phy::simd::mode());
 
   LogLinearHistogram alignment;
   LogLinearHistogram interruption;
   LogLinearHistogram rach;
   LogLinearHistogram throughput;
   LogLinearHistogram outage;
-  obs::ProtocolCounters counters;
   report.rate_enabled = spec.rate.enabled;
 
   report.per_cell.resize(spec.n_cells);
@@ -181,13 +178,10 @@ obs::FleetReport build_fleet_report(const core::ScenarioSpec& spec,
     report.hard += row.hard;
     report.rach_attempts += row.rach_attempts;
     report.ping_pongs += row.ping_pongs;
-    counters.merge(ue_result.counters);
+    report.counters.merge(ue_result.counters);
     report.ues.push_back(std::move(row));
   }
   report.ssb_observations = result.ssb_observations;
-  for (const auto& [name, value] : counters.nonzero()) {
-    report.counters[std::string(name)] = value;
-  }
   report.ping_pong_rate =
       report.handovers_successful > 0
           ? static_cast<double>(report.ping_pongs) /
@@ -203,27 +197,8 @@ obs::FleetReport build_fleet_report(const core::ScenarioSpec& spec,
     report.mean_throughput_mbps /= static_cast<double>(report.ues.size());
   }
 
-  report.engine.events_executed = result.engine.events_executed;
-  report.engine.queue_depth_hwm = result.engine.queue_depth_hwm;
-  report.engine.wall_seconds = result.engine.wall_seconds;
-  report.engine.sim_seconds = result.engine.sim_seconds;
-  report.engine.wall_per_sim_second = result.engine.wall_per_sim_second();
-
-  const net::SnapshotCacheStats& cache = result.snapshot_cache;
-  report.snapshot_cache.hits = cache.hits;
-  report.snapshot_cache.refreshes = cache.refreshes;
-  report.snapshot_cache.certified_misses = cache.certified_misses;
-  report.snapshot_cache.cold_misses = cache.cold_misses;
-  report.snapshot_cache.invalidations = cache.invalidations;
-  report.snapshot_cache.pair_sweeps = cache.pair_sweeps;
-  report.snapshot_cache.rx_sweeps = cache.rx_sweeps;
-  report.snapshot_cache.full_builds = cache.full_builds;
-  report.snapshot_cache.incremental_builds = cache.incremental_builds;
-  report.snapshot_cache.geometry_reuses = cache.geometry_reuses;
-  report.snapshot_cache.shadow_reuses = cache.shadow_reuses;
-  report.snapshot_cache.blockage_reuses = cache.blockage_reuses;
-  report.snapshot_cache.azimuth_reuses = cache.azimuth_reuses;
-  report.snapshot_cache.hit_rate = cache.hit_rate();
+  report.engine = result.engine;
+  report.snapshot_cache = result.snapshot_cache;
 
   report.wall_seconds = result.wall_seconds;
   report.ues_per_second = result.ues_per_second();

@@ -161,7 +161,7 @@ const phy::PathSnapshot& RadioEnvironment::snapshot_for(CellId cell,
       [&](phy::PathSnapshot& snapshot, phy::SnapshotReuse& reuse) {
         channels_[cell]->update_snapshot(station.pose(), ue_pose(t), t,
                                          station.tx_power_dbm(), snapshot,
-                                         &reuse, &build_stats_);
+                                         &reuse, &snapshot_cache_.stats());
       });
 }
 
@@ -376,7 +376,7 @@ SsbObservation RadioEnvironment::observe_ssb(CellId cell, phy::BeamId tx_beam,
   const bool drawn = p_hi < 1.0;
   const double u = drawn ? detection_rng_.uniform() : 0.0;
   if (drawn && u >= p_hi) {
-    ++snapshot_stats_.certified_misses;
+    ++snapshot_cache_.stats().certified_misses;
     ST_INVARIANT(invariants::check_certified_miss(
         u, checker_detection_probability(cell, tx_beam, rx_beam, t), cell,
         t));
@@ -434,7 +434,7 @@ double RadioEnvironment::checker_dl_snr_db(CellId cell, phy::BeamId tx_beam,
                                            sim::Time t) const {
   phy::SnapshotEpochCache::State saved = snapshot_cache_.save();
   const double snr = true_dl_snr_db(cell, tx_beam, ue_beam, t);
-  saved.stats = snapshot_cache_.stats();  // the query counts
+  saved.stats = snapshot_cache_.stats();  // the query and its build count
   snapshot_cache_.restore(std::move(saved));
   return snr;
 }
@@ -444,18 +444,16 @@ double RadioEnvironment::checker_detection_probability(CellId cell,
                                                        phy::BeamId ue_beam,
                                                        sim::Time t) const {
   phy::SnapshotEpochCache::State saved = snapshot_cache_.save();
-  const phy::SnapshotBuildStats build_stats = build_stats_;
   const double p = link_.detection_probability(ssb_sinr_db(
       cell, true_dl_rss_dbm(cell, tx_beam, ue_beam, t), ue_beam, t));
   snapshot_cache_.restore(std::move(saved));
-  build_stats_ = build_stats;
   return p;
 }
 
 phy::Channel::BestPair RadioEnvironment::ground_truth_best_pair(CellId cell,
                                                                 sim::Time t) const {
   const BaseStation& station = bs(cell);
-  ++snapshot_stats_.pair_sweeps;
+  ++snapshot_cache_.stats().pair_sweeps;
   return phy::sweep_beam_pairs(snapshot_for(cell, t), station.codebook(),
                                ue_codebook_);
 }
@@ -463,7 +461,7 @@ phy::Channel::BestPair RadioEnvironment::ground_truth_best_pair(CellId cell,
 phy::Channel::BestBeam RadioEnvironment::ground_truth_best_rx(
     CellId cell, phy::BeamId tx_beam, sim::Time t) const {
   const BaseStation& station = bs(cell);
-  ++snapshot_stats_.rx_sweeps;
+  ++snapshot_cache_.stats().rx_sweeps;
   return phy::sweep_rx_beams(snapshot_for(cell, t),
                              station.codebook().beam(tx_beam), ue_codebook_);
 }

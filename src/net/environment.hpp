@@ -48,64 +48,10 @@ struct EnvironmentConfig {
   UeId ue = 0;
 };
 
-/// Snapshot-cache and sweep-kernel statistics, maintained unconditionally
-/// (one integer increment per query) and read by the telemetry layer.
-/// The cache counters mirror phy::SnapshotEpochCache::Stats (hits,
-/// refreshes, cold misses, cross-UE invalidations are disjoint and sum to
-/// the query count); the build counters mirror phy::SnapshotBuildStats
-/// and expose how deep the per-component reuse of each rebuild went.
-struct SnapshotCacheStats {
-  std::uint64_t hits = 0;       ///< query served from the cached epoch
-  std::uint64_t refreshes = 0;  ///< warm same-UE rebuild at a new instant
-                                ///< (incremental, reuse state kept)
-  /// SSB observations settled as undetected from an older cached snapshot
-  /// and a slope bound, with no rebuild (RadioEnvironment::observe_ssb).
-  /// A work counter like the four above, but not a query: hit_rate()
-  /// leaves it out.
-  std::uint64_t certified_misses = 0;
-  std::uint64_t cold_misses = 0;    ///< rebuild with no valid entry
-  std::uint64_t invalidations = 0;  ///< valid entry evicted for another UE
-  std::uint64_t pair_sweeps = 0;    ///< ground_truth_best_pair kernel calls
-  std::uint64_t rx_sweeps = 0;      ///< ground_truth_best_rx kernel calls
-
-  std::uint64_t full_builds = 0;         ///< builds with no reuse state
-  std::uint64_t incremental_builds = 0;  ///< builds that saw reuse state
-  std::uint64_t geometry_reuses = 0;     ///< path geometry carried over
-  std::uint64_t shadow_reuses = 0;       ///< shadowing sample carried over
-  std::uint64_t blockage_reuses = 0;     ///< blockage window carried over
-  std::uint64_t azimuth_reuses = 0;      ///< both azimuth sets carried over
-
-  [[nodiscard]] std::uint64_t rebuilds() const noexcept {
-    return refreshes + cold_misses + invalidations;
-  }
-
-  /// Fraction of queries that reused cached state: exact hits plus
-  /// incremental refreshes, over all queries. Cold misses and cross-UE
-  /// evictions — the rebuilds that start from nothing — are the misses.
-  [[nodiscard]] double hit_rate() const noexcept {
-    const std::uint64_t total = hits + rebuilds();
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits + refreshes) /
-                            static_cast<double>(total);
-  }
-
-  /// Accumulate another environment's counters (fleet-level aggregation).
-  void merge(const SnapshotCacheStats& other) noexcept {
-    hits += other.hits;
-    refreshes += other.refreshes;
-    certified_misses += other.certified_misses;
-    cold_misses += other.cold_misses;
-    invalidations += other.invalidations;
-    pair_sweeps += other.pair_sweeps;
-    rx_sweeps += other.rx_sweeps;
-    full_builds += other.full_builds;
-    incremental_builds += other.incremental_builds;
-    geometry_reuses += other.geometry_reuses;
-    shadow_reuses += other.shadow_reuses;
-    blockage_reuses += other.blockage_reuses;
-    azimuth_reuses += other.azimuth_reuses;
-  }
-};
+/// The snapshot work counters are declared in phy (path_snapshot.hpp),
+/// where the cache and the channel count them; net counts its sweeps and
+/// certified misses into the same value.
+using phy::SnapshotCacheStats;
 
 class RadioEnvironment {
  public:
@@ -222,24 +168,13 @@ class RadioEnvironment {
     return ssb_observations_;
   }
 
-  /// Snapshot-cache hit/miss/invalidation and sweep-kernel call counts —
+  /// Snapshot-cache hit/miss/invalidation, build and sweep-kernel counts —
   /// the measured basis for the fast-path claims in docs/PERFORMANCE.md.
-  /// Assembled on demand: the cache counters live in the phy-layer epoch
-  /// cache, the sweep counters here.
-  [[nodiscard]] SnapshotCacheStats snapshot_stats() const noexcept {
-    SnapshotCacheStats stats = snapshot_stats_;
-    const phy::SnapshotEpochCache::Stats& cache = snapshot_cache_.stats();
-    stats.hits = cache.hits;
-    stats.refreshes = cache.refreshes;
-    stats.cold_misses = cache.cold_misses;
-    stats.invalidations = cache.invalidations;
-    stats.full_builds = build_stats_.full_builds;
-    stats.incremental_builds = build_stats_.incremental_builds;
-    stats.geometry_reuses = build_stats_.geometry_reuses;
-    stats.shadow_reuses = build_stats_.shadow_reuses;
-    stats.blockage_reuses = build_stats_.blockage_reuses;
-    stats.azimuth_reuses = build_stats_.azimuth_reuses;
-    return stats;
+  /// One value, held by the epoch cache and counted into by the cache,
+  /// the channels' builds and this environment's sweeps and certified
+  /// misses.
+  [[nodiscard]] const SnapshotCacheStats& snapshot_stats() const noexcept {
+    return snapshot_cache_.stats();
   }
 
   // ---- Ground truth (metric layer only) ---------------------------------
@@ -294,10 +229,9 @@ class RadioEnvironment {
                                                  sim::Time t) const;
 
   /// The exact SSB detection probability for the certified-miss checker
-  /// leg, entirely off the record: the snapshot cache, its counters and
-  /// the build counters are restored afterwards, so a checked run's
-  /// counters differ from an unchecked run's by the link monitor's leg
-  /// alone.
+  /// leg, entirely off the record: the snapshot cache and every counter
+  /// are restored afterwards, so a checked run's counters differ from an
+  /// unchecked run's by the link monitor's leg alone.
   [[nodiscard]] double checker_detection_probability(CellId cell,
                                                      phy::BeamId tx_beam,
                                                      phy::BeamId ue_beam,
@@ -328,13 +262,9 @@ class RadioEnvironment {
 
   /// Mutable because ground-truth queries are const. Not synchronised: a
   /// RadioEnvironment is single-threaded by design (parallel batch and
-  /// fleet runs give each thread its own environment).
+  /// fleet runs give each thread its own environment). It also holds the
+  /// environment's snapshot work counters (snapshot_stats()).
   mutable phy::SnapshotEpochCache snapshot_cache_;
-  /// Sweep-kernel counters only; cache counters live in snapshot_cache_,
-  /// per-component reuse counters in build_stats_.
-  mutable SnapshotCacheStats snapshot_stats_;
-  /// Per-component reuse accounting fed by Channel::update_snapshot.
-  mutable phy::SnapshotBuildStats build_stats_;
   /// Per-cell memo of slope_terms.
   mutable std::vector<SlopeTerms> slope_terms_;
   /// Smallest true RSS [dBm] whose SSB detection probability is provably

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/build_info.hpp"
+#include "phy/simd.hpp"
 
 namespace st::obs {
 
@@ -155,7 +156,18 @@ void write_provenance(JsonOut& json, const ProvenanceReport& p) {
   json.close();
 }
 
-void write_snapshot_cache(JsonOut& json, const SnapshotCacheReport& cache) {
+void write_engine(JsonOut& json, const sim::EngineStats& engine) {
+  json.open("engine");
+  json.field("events_executed", engine.events_executed);
+  json.field("queue_depth_hwm", engine.queue_depth_hwm);
+  json.field("wall_seconds", engine.wall_seconds);
+  json.field("sim_seconds", engine.sim_seconds);
+  json.field("wall_per_sim_second", engine.wall_per_sim_second());
+  json.close();
+}
+
+void write_snapshot_cache(JsonOut& json,
+                          const phy::SnapshotCacheStats& cache) {
   json.open("snapshot_cache");
   json.field("hits", cache.hits);
   json.field("refreshes", cache.refreshes);
@@ -170,14 +182,14 @@ void write_snapshot_cache(JsonOut& json, const SnapshotCacheReport& cache) {
   json.field("shadow_reuses", cache.shadow_reuses);
   json.field("blockage_reuses", cache.blockage_reuses);
   json.field("azimuth_reuses", cache.azimuth_reuses);
-  json.field("hit_rate", cache.hit_rate);
+  json.field("hit_rate", cache.hit_rate());
   json.close();
 }
 
-void write_counters(JsonOut& json,
-                    const std::map<std::string, std::uint64_t>& counters) {
+/// The counters that fired, in name order (the enum's order).
+void write_counters(JsonOut& json, const ProtocolCounters& counters) {
   json.open("counters");
-  for (const auto& [name, value] : counters) {
+  for (const auto& [name, value] : counters.nonzero()) {
     json.field(name, value);
   }
   json.close();
@@ -203,6 +215,7 @@ ProvenanceReport ProvenanceReport::current() {
   p.git_describe = std::string(info.git_describe);
   p.compiler = std::string(info.compiler);
   p.build_type = std::string(info.build_type);
+  p.simd_dispatch = phy::simd::mode();
   return p;
 }
 
@@ -240,31 +253,24 @@ std::string RunReport::to_json() const {
   json.field("ping_pongs", handover.ping_pongs);
   json.close();
 
-  if (rate.enabled) {
+  if (rate_enabled) {
     json.open("throughput");
     json.field("samples", rate.samples);
     json.field("served_samples", rate.served_samples);
-    json.field("mean_mbps", rate.mean_throughput_mbps);
-    json.field("mean_sinr_db", rate.mean_sinr_db);
-    json.field("mean_cqi", rate.mean_cqi);
+    json.field("mean_mbps", rate.mean_throughput_mbps());
+    json.field("mean_sinr_db", rate.mean_sinr_db());
+    json.field("mean_cqi", rate.mean_cqi());
     json.close();
 
     json.open("outage");
     json.field("events", rate.outage_events);
     json.field("total_ms", rate.outage_ms);
     json.field("longest_ms", rate.longest_outage_ms);
-    json.field("fraction", rate.outage_fraction);
+    json.field("fraction", rate.outage_fraction());
     json.close();
   }
 
-  json.open("engine");
-  json.field("events_executed", engine.events_executed);
-  json.field("queue_depth_hwm", engine.queue_depth_hwm);
-  json.field("wall_seconds", engine.wall_seconds);
-  json.field("sim_seconds", engine.sim_seconds);
-  json.field("wall_per_sim_second", engine.wall_per_sim_second);
-  json.close();
-
+  write_engine(json, engine);
   write_snapshot_cache(json, snapshot_cache);
   write_counters(json, counters);
 
@@ -301,7 +307,7 @@ std::string RunReport::summary_text() const {
   line("== run report: %s / %s (seed %llu) ==", scenario.c_str(),
        protocol.c_str(), static_cast<unsigned long long>(seed));
   line("  sim duration     %.1f ms  (wall %.3f s, %.4f wall-s/sim-s)",
-       duration_ms, engine.wall_seconds, engine.wall_per_sim_second);
+       duration_ms, engine.wall_seconds, engine.wall_per_sim_second());
   line("  handovers        %llu/%llu successful (%llu soft, %llu hard)",
        static_cast<unsigned long long>(handover.successful),
        static_cast<unsigned long long>(handover.total),
@@ -322,20 +328,20 @@ std::string RunReport::summary_text() const {
        100.0 * handover.alignment_until_first_handover);
   line("  ssb budget       %llu observations",
        static_cast<unsigned long long>(handover.ssb_observations));
-  if (rate.enabled) {
+  if (rate_enabled) {
     line("  throughput       %.1f Mbps mean (SINR %.1f dB, CQI %.1f)",
-         rate.mean_throughput_mbps, rate.mean_sinr_db, rate.mean_cqi);
+         rate.mean_throughput_mbps(), rate.mean_sinr_db(), rate.mean_cqi());
     line("  outage           %llu events, %.1f ms total (longest %.1f ms, "
          "%.2f%% of airtime)",
          static_cast<unsigned long long>(rate.outage_events), rate.outage_ms,
-         rate.longest_outage_ms, 100.0 * rate.outage_fraction);
+         rate.longest_outage_ms, 100.0 * rate.outage_fraction());
   }
   line("  engine           %llu events, queue hwm %llu",
        static_cast<unsigned long long>(engine.events_executed),
        static_cast<unsigned long long>(engine.queue_depth_hwm));
   line("  snapshot cache   %.1f%% hit rate (%llu hits, %llu refreshes / "
        "%llu cold, %llu evicted)",
-       100.0 * snapshot_cache.hit_rate,
+       100.0 * snapshot_cache.hit_rate(),
        static_cast<unsigned long long>(snapshot_cache.hits),
        static_cast<unsigned long long>(snapshot_cache.refreshes),
        static_cast<unsigned long long>(snapshot_cache.cold_misses),
@@ -406,14 +412,7 @@ std::string FleetReport::to_json() const {
   }
   json.close();
 
-  json.open("engine");
-  json.field("events_executed", engine.events_executed);
-  json.field("queue_depth_hwm", engine.queue_depth_hwm);
-  json.field("wall_seconds", engine.wall_seconds);
-  json.field("sim_seconds", engine.sim_seconds);
-  json.field("wall_per_sim_second", engine.wall_per_sim_second);
-  json.close();
-
+  write_engine(json, engine);
   write_snapshot_cache(json, snapshot_cache);
   write_counters(json, counters);
 
@@ -505,7 +504,7 @@ std::string FleetReport::summary_text() const {
        static_cast<unsigned long long>(engine.queue_depth_hwm));
   line("  snapshot cache   %.1f%% hit rate (%llu hits, %llu refreshes / "
        "%llu cold, %llu evicted)",
-       100.0 * snapshot_cache.hit_rate,
+       100.0 * snapshot_cache.hit_rate(),
        static_cast<unsigned long long>(snapshot_cache.hits),
        static_cast<unsigned long long>(snapshot_cache.refreshes),
        static_cast<unsigned long long>(snapshot_cache.cold_misses),

@@ -6,6 +6,11 @@
 // The report is a plain value assembled by core::build_run_report() from
 // a finished ScenarioResult; this header only defines the shape, its JSON
 // serialisation, and a one-screen human summary used by the examples.
+// Run statistics are held in the types of the layers that count them
+// (sim::EngineStats, phy::SnapshotCacheStats, rate::RateStats,
+// obs::ProtocolCounters), so a new counter is declared once; the derived
+// numbers (hit rate, means, wall per sim-second) are computed when the
+// report is rendered.
 // Schema versioned as "silent-tracker/run-report/v1"; consumers should
 // check the `schema` field before parsing further.
 #pragma once
@@ -16,6 +21,10 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "obs/trace.hpp"
+#include "phy/path_snapshot.hpp"
+#include "rate/rate_model.hpp"
+#include "sim/simulator.hpp"
 
 namespace st::obs {
 
@@ -32,49 +41,17 @@ struct HistogramSummary {
   [[nodiscard]] static HistogramSummary from(const LogLinearHistogram& h);
 };
 
-/// Which build produced this artifact. Defaults come from
-/// st::build_info(); `simd_dispatch` is the *runtime*-selected sweep
-/// kernel leg ("avx2" / "scalar") filled in by the report assemblers —
-/// obs cannot link phy, so the field starts "unknown".
+/// Which build produced this artifact: st::build_info() plus the
+/// *runtime*-selected sweep kernel leg ("avx2" / "scalar").
 struct ProvenanceReport {
   std::string git_describe;
   std::string compiler;
   std::string build_type;
-  std::string simd_dispatch = "unknown";
+  std::string simd_dispatch;
 
-  /// git/compiler/build_type from st::build_info().
+  /// git/compiler/build_type from st::build_info(), simd_dispatch from
+  /// phy::simd::mode().
   [[nodiscard]] static ProvenanceReport current();
-};
-
-/// sim::EngineStats, flattened to plain numbers.
-struct EngineReport {
-  std::uint64_t events_executed = 0;
-  std::uint64_t queue_depth_hwm = 0;
-  double wall_seconds = 0.0;
-  double sim_seconds = 0.0;
-  double wall_per_sim_second = 0.0;
-};
-
-/// net::SnapshotCacheStats, flattened (obs sits below net in the link
-/// order, so the struct is mirrored rather than included). The cache
-/// counters split the rebuild causes — an incremental same-UE refresh, a
-/// cold miss, a cross-UE eviction — and the build counters say how much
-/// of each rebuild was carried over from the previous epoch.
-struct SnapshotCacheReport {
-  std::uint64_t hits = 0;
-  std::uint64_t refreshes = 0;
-  std::uint64_t certified_misses = 0;
-  std::uint64_t cold_misses = 0;
-  std::uint64_t invalidations = 0;
-  std::uint64_t pair_sweeps = 0;
-  std::uint64_t rx_sweeps = 0;
-  std::uint64_t full_builds = 0;
-  std::uint64_t incremental_builds = 0;
-  std::uint64_t geometry_reuses = 0;
-  std::uint64_t shadow_reuses = 0;
-  std::uint64_t blockage_reuses = 0;
-  std::uint64_t azimuth_reuses = 0;
-  double hit_rate = 0.0;
 };
 
 struct HandoverReport {
@@ -96,22 +73,6 @@ struct HandoverReport {
   std::uint64_t ping_pongs = 0;
 };
 
-/// The rate layer's per-run outcome: what the user experienced.
-/// Serialised as the report's "throughput" and "outage" blocks; all
-/// zeros when the rate layer was disabled.
-struct RateReport {
-  bool enabled = false;
-  std::uint64_t samples = 0;
-  std::uint64_t served_samples = 0;
-  double mean_throughput_mbps = 0.0;
-  double mean_sinr_db = 0.0;
-  double mean_cqi = 0.0;
-  std::uint64_t outage_events = 0;
-  double outage_ms = 0.0;
-  double longest_outage_ms = 0.0;
-  double outage_fraction = 0.0;
-};
-
 struct RunReport {
   std::string schema = "silent-tracker/run-report/v1";
 
@@ -129,13 +90,14 @@ struct RunReport {
   ProvenanceReport provenance = ProvenanceReport::current();
 
   HandoverReport handover;
-  RateReport rate;
-  EngineReport engine;
-  SnapshotCacheReport snapshot_cache;
-
-  /// Protocol event counts that fired (obs::ProtocolCounters by name;
-  /// zero counters are absent).
-  std::map<std::string, std::uint64_t> counters;
+  /// The rate layer's outcome, what the user experienced; serialised as
+  /// the "throughput" and "outage" blocks, only when the layer ran.
+  bool rate_enabled = false;
+  rate::RateStats rate;
+  sim::EngineStats engine;
+  phy::SnapshotCacheStats snapshot_cache;
+  /// Protocol event counts; the JSON lists those that fired, by name.
+  ProtocolCounters counters;
   /// Registry gauges at end of run.
   std::map<std::string, double> gauges;
   /// Latency digests: "tracking_loop_ms", "search_ms", "rach_ms",
@@ -234,10 +196,11 @@ struct FleetReport {
   HistogramSummary throughput_mbps;     ///< across UEs (rate layer on)
   HistogramSummary outage_ms;           ///< across UEs (rate layer on)
 
-  EngineReport engine;  ///< merged across UEs
-  SnapshotCacheReport snapshot_cache;
-  /// Protocol event counts summed across UEs (non-zero ones, by name).
-  std::map<std::string, std::uint64_t> counters;
+  // Merged across UEs.
+  sim::EngineStats engine;
+  phy::SnapshotCacheStats snapshot_cache;
+  /// Protocol event counts; the JSON lists those that fired, by name.
+  ProtocolCounters counters;
 
   // Throughput (non-deterministic; equivalence tests ignore this block).
   double wall_seconds = 0.0;

@@ -56,7 +56,7 @@ void Channel::make_snapshot(const Pose& tx_pose, const Pose& rx_pose,
 void Channel::update_snapshot(const Pose& tx_pose, const Pose& rx_pose,
                               sim::Time t, double tx_power_dbm,
                               PathSnapshot& out, SnapshotReuse* reuse,
-                              SnapshotBuildStats* stats) const {
+                              SnapshotCacheStats* stats) const {
   if (reuse == nullptr) {
     // One-off build through per-thread scratch reuse state, marked cold on
     // both sides so nothing leaks between channels sharing the thread.

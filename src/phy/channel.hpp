@@ -33,7 +33,7 @@ namespace st::phy {
 // Defined in path_snapshot.hpp together with the sweep kernels.
 struct PathSnapshot;
 struct SnapshotReuse;
-struct SnapshotBuildStats;
+struct SnapshotCacheStats;
 
 struct ChannelConfig {
   PathLossConfig pathloss{.model = PathLossModel::kFreeSpace,
@@ -88,10 +88,10 @@ class Channel {
   /// to a full build — pinned by tests/phy/test_path_snapshot.cpp.
   /// `reuse` must describe `out` (same slot, as SnapshotEpochCache
   /// guarantees); pass nullptr for a one-off full build. `stats`, when
-  /// non-null, accumulates per-component reuse counters.
+  /// non-null, counts the build and its per-component reuse.
   void update_snapshot(const Pose& tx_pose, const Pose& rx_pose, sim::Time t,
                        double tx_power_dbm, PathSnapshot& out,
-                       SnapshotReuse* reuse, SnapshotBuildStats* stats) const;
+                       SnapshotReuse* reuse, SnapshotCacheStats* stats) const;
 
   /// Ground-truth helper for the metric layer (protocols must not call
   /// this): the RX beam in `rx_codebook` with the highest rx power for

@@ -110,17 +110,58 @@ struct SnapshotReuse {
   }
 };
 
-/// Per-component accounting of update_snapshot, surfaced through
-/// net::SnapshotCacheStats so reuse depth is observable per run.
-struct SnapshotBuildStats {
-  std::uint64_t full_builds = 0;         ///< cold builds (no valid reuse)
-  std::uint64_t incremental_builds = 0;  ///< builds that saw valid reuse
+/// Snapshot work counters of one radio environment, declared once and
+/// counted where the work happens: SnapshotEpochCache counts its queries
+/// (hits, refreshes, cold misses and cross-UE invalidations are disjoint
+/// and sum to the query count), Channel::update_snapshot counts builds and
+/// how deep each rebuild's per-component reuse went, and
+/// net::RadioEnvironment counts sweeps and certified misses. Maintained
+/// unconditionally (one integer increment per event) and carried as is by
+/// the run and fleet reports.
+struct SnapshotCacheStats {
+  std::uint64_t hits = 0;       ///< query served from the cached epoch
+  std::uint64_t refreshes = 0;  ///< warm same-UE rebuild at a new instant
+                                ///< (incremental, reuse state kept)
+  /// SSB observations settled as undetected from an older cached snapshot
+  /// and a slope bound, with no rebuild (RadioEnvironment::observe_ssb).
+  /// A work counter like the four above, but not a query: hit_rate()
+  /// leaves it out.
+  std::uint64_t certified_misses = 0;
+  std::uint64_t cold_misses = 0;    ///< rebuild with no valid entry
+  std::uint64_t invalidations = 0;  ///< valid entry evicted for another UE
+  std::uint64_t pair_sweeps = 0;    ///< ground_truth_best_pair kernel calls
+  std::uint64_t rx_sweeps = 0;      ///< ground_truth_best_rx kernel calls
+
+  std::uint64_t full_builds = 0;         ///< builds with no reuse state
+  std::uint64_t incremental_builds = 0;  ///< builds that saw reuse state
   std::uint64_t geometry_reuses = 0;     ///< path geometry carried over
   std::uint64_t shadow_reuses = 0;       ///< shadowing sample carried over
   std::uint64_t blockage_reuses = 0;     ///< blockage window carried over
   std::uint64_t azimuth_reuses = 0;      ///< both azimuth sets carried over
 
-  void merge(const SnapshotBuildStats& other) noexcept {
+  [[nodiscard]] std::uint64_t rebuilds() const noexcept {
+    return refreshes + cold_misses + invalidations;
+  }
+
+  /// Fraction of queries that reused cached state: exact hits plus
+  /// incremental refreshes, over all queries. Cold misses and cross-UE
+  /// evictions — the rebuilds that start from nothing — are the misses.
+  [[nodiscard]] double hit_rate() const noexcept {
+    const std::uint64_t total = hits + rebuilds();
+    return total == 0 ? 0.0
+                      : static_cast<double>(hits + refreshes) /
+                            static_cast<double>(total);
+  }
+
+  /// Accumulate another environment's counters (fleet-level aggregation).
+  void merge(const SnapshotCacheStats& other) noexcept {
+    hits += other.hits;
+    refreshes += other.refreshes;
+    certified_misses += other.certified_misses;
+    cold_misses += other.cold_misses;
+    invalidations += other.invalidations;
+    pair_sweeps += other.pair_sweeps;
+    rx_sweeps += other.rx_sweeps;
     full_builds += other.full_builds;
     incremental_builds += other.incremental_builds;
     geometry_reuses += other.geometry_reuses;

@@ -12,10 +12,12 @@
 // Each entry carries the SnapshotReuse state of its last build, threaded
 // into Channel::update_snapshot on every rebuild: a warm same-UE rebuild
 // at a new instant (a "refresh") recomputes only the components the pose
-// delta invalidates instead of the whole snapshot. Stats distinguish the
-// rebuild causes — a refresh, a cold miss, and an eviction forced by a
-// different UE are separate counters, so a reuse regression is visible in
-// BENCH_micro.json rather than folded into one opaque miss count.
+// delta invalidates instead of the whole snapshot. The cache holds its
+// environment's SnapshotCacheStats and counts the rebuild causes there —
+// a refresh, a cold miss, and an eviction forced by a different UE are
+// separate counters, so a reuse regression is visible in the reports
+// rather than folded into one opaque miss count. The channel's builds and
+// the environment's sweeps are counted into the same value (stats()).
 #pragma once
 
 #include <cstdint>
@@ -29,22 +31,6 @@ namespace st::phy {
 
 class SnapshotEpochCache {
  public:
-  /// Hit/rebuild accounting, maintained unconditionally (one integer
-  /// increment per query) and surfaced through net::SnapshotCacheStats.
-  /// The four counters are disjoint and sum to the query count.
-  struct Stats {
-    std::uint64_t hits = 0;       ///< served from the cached epoch
-    std::uint64_t refreshes = 0;  ///< warm same-UE rebuild at a new
-                                  ///< instant — incremental, reuse kept
-    std::uint64_t cold_misses = 0;    ///< rebuild with no valid entry
-    std::uint64_t invalidations = 0;  ///< valid entry evicted for a
-                                      ///< different UE — reuse reset
-
-    [[nodiscard]] std::uint64_t rebuilds() const noexcept {
-      return refreshes + cold_misses + invalidations;
-    }
-  };
-
   /// One slot per cell; existing snapshot storage is kept on resize.
   void resize(std::size_t cells) { entries_.resize(cells); }
 
@@ -96,7 +82,13 @@ class SnapshotEpochCache {
     return &entry.snapshot;
   }
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// The environment's snapshot work counters. The cache counts its
+  /// queries; the mutable overload lets the builder and the owning
+  /// environment count theirs into the same value.
+  [[nodiscard]] const SnapshotCacheStats& stats() const noexcept {
+    return stats_;
+  }
+  [[nodiscard]] SnapshotCacheStats& stats() noexcept { return stats_; }
 
   /// One cell's slot: the snapshot of (ue, t) when valid, and the reuse
   /// state of its last build.
@@ -113,7 +105,7 @@ class SnapshotEpochCache {
   /// invariant checker's extra evaluations (net::RadioEnvironment).
   struct State {
     std::vector<Entry> entries;
-    Stats stats;
+    SnapshotCacheStats stats;
   };
   [[nodiscard]] State save() const { return {entries_, stats_}; }
   void restore(State state) noexcept {
@@ -123,7 +115,7 @@ class SnapshotEpochCache {
 
  private:
   std::vector<Entry> entries_;
-  Stats stats_;
+  SnapshotCacheStats stats_;
 };
 
 }  // namespace st::phy

@@ -69,6 +69,7 @@ struct Job {
   ~Job();
 
   std::uint64_t id = 0;
+  /// The decoded spec; the worker that runs the job moves it out.
   core::ScenarioSpec spec;
   JobState state = JobState::kQueued;
 

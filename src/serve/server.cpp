@@ -13,10 +13,9 @@
 #include <system_error>
 #include <utility>
 
-#include "common/build_info.hpp"
 #include "core/spec_json.hpp"
 #include "fleet/engine.hpp"
-#include "phy/simd.hpp"
+#include "obs/report.hpp"
 
 namespace st::serve {
 
@@ -64,12 +63,12 @@ namespace {
 }
 
 [[nodiscard]] json::Value provenance_json() {
+  const obs::ProvenanceReport p = obs::ProvenanceReport::current();
   json::Value v = json::Value::object();
-  const BuildInfo& info = build_info();
-  v.set("git_describe", json::Value::string(std::string(info.git_describe)));
-  v.set("compiler", json::Value::string(std::string(info.compiler)));
-  v.set("build_type", json::Value::string(std::string(info.build_type)));
-  v.set("simd_dispatch", json::Value::string(phy::simd::mode()));
+  v.set("git_describe", json::Value::string(p.git_describe));
+  v.set("compiler", json::Value::string(p.compiler));
+  v.set("build_type", json::Value::string(p.build_type));
+  v.set("simd_dispatch", json::Value::string(p.simd_dispatch));
   return v;
 }
 
@@ -857,7 +856,7 @@ void Server::run_job(std::uint64_t id) {
     metrics_.histogram("serve.queue_wait_ms")
         .add(ms_between(job->submitted_at, job->started_at));
     transition_locked(*job, JobState::kRunning);
-    spec = job->spec;
+    spec = std::move(job->spec);  // nothing reads it after this
     cancel = &job->cancel;
   }
 

@@ -207,34 +207,5 @@ TEST(LogLinearHistogram, ZeroAndNegativeSamplesLandInZeroBin) {
   EXPECT_LE(h.p50(), 0.0);
 }
 
-TEST(LogLinearHistogram, MergeMatchesCombinedStream) {
-  LogLinearHistogram left;
-  LogLinearHistogram right;
-  LogLinearHistogram all;
-  for (int i = 1; i <= 200; ++i) {
-    const double x = 0.5 * i;
-    (i % 2 == 0 ? left : right).add(x);
-    all.add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_DOUBLE_EQ(left.sum(), all.sum());
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-  EXPECT_DOUBLE_EQ(left.p50(), all.p50());
-  EXPECT_DOUBLE_EQ(left.p95(), all.p95());
-}
-
-TEST(LogLinearHistogram, MergeWithEmptyIsIdentity) {
-  LogLinearHistogram h;
-  h.add(3.0);
-  LogLinearHistogram empty;
-  h.merge(empty);
-  EXPECT_EQ(h.count(), 1U);
-  empty.merge(h);
-  EXPECT_EQ(empty.count(), 1U);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
 }  // namespace
 }  // namespace st

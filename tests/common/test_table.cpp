@@ -27,16 +27,6 @@ TEST(Table, AsciiAlignsColumns) {
   }
 }
 
-TEST(Table, CsvEscapesSpecials) {
-  Table t({"a", "b"});
-  t.row().cell("plain").cell("has,comma");
-  t.row().cell("has\"quote").cell("x");
-  const std::string csv = t.csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-  EXPECT_NE(csv.find("plain"), std::string::npos);
-}
-
 TEST(Table, DoubleFormattingPrecision) {
   Table t({"x"});
   t.row().cell(3.14159, 2);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <vector>
 
+#include "common/json.hpp"
 #include "core/scenario_spec.hpp"
 #include "net/link_monitor.hpp"
 #include "sim/simulator.hpp"
@@ -361,9 +363,9 @@ TEST(Scenario, BuildRunReportEchoesScenarioAndResults) {
   EXPECT_EQ(report.handover.successful, r.successful_handovers());
   EXPECT_EQ(report.engine.events_executed, r.engine.events_executed);
   EXPECT_EQ(report.snapshot_cache.hits, r.snapshot_cache.hits);
-  EXPECT_DOUBLE_EQ(report.snapshot_cache.hit_rate,
+  EXPECT_DOUBLE_EQ(report.snapshot_cache.hit_rate(),
                    r.snapshot_cache.hit_rate());
-  EXPECT_EQ(report.counters.size(), r.counters.nonzero().size());
+  EXPECT_EQ(report.counters, r.counters);
   EXPECT_EQ(report.trace_events, r.trace->total_events());
   // The engine dispatch digest always exists when tracing was on.
   EXPECT_GT(report.latencies.count("engine.dispatch_us"), 0u);
@@ -373,21 +375,25 @@ TEST(Scenario, BuildRunReportEchoesScenarioAndResults) {
 }
 
 TEST(Scenario, RunReportCountersAreTheNonZeroEntriesByName) {
-  // Every counter reaches the report under its name with its value, and
-  // a counter that never fired is absent (the JSON lists what fired).
+  // The JSON's counters block lists exactly the counters that fired, in
+  // name order, each with its value; a counter that never fired is absent.
   ScenarioResult r;
   for (std::size_t i = 0; i < obs::kProtocolCounterCount; i += 2) {
     r.counters.values[i] = 100 + i;
   }
-  const obs::RunReport report = build_run_report(quick_spec(), r);
-  EXPECT_EQ(report.counters.size(), (obs::kProtocolCounterCount + 1) / 2);
-  for (std::size_t i = 0; i < obs::kProtocolCounterCount; ++i) {
-    const std::string name(to_string(static_cast<obs::ProtocolCounter>(i)));
-    if (i % 2 == 0) {
-      ASSERT_EQ(report.counters.count(name), 1u) << name;
-      EXPECT_EQ(report.counters.at(name), 100 + i) << name;
-    } else {
-      EXPECT_EQ(report.counters.count(name), 0u) << name;
+  const json::Value doc =
+      json::parse(build_run_report(quick_spec(), r).to_json());
+  const json::Value* counters = doc.find("counters");
+  ASSERT_NE(counters, nullptr);
+  const std::vector<json::Value::Member>& members = counters->members();
+  ASSERT_EQ(members.size(), (obs::kProtocolCounterCount + 1) / 2);
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    const std::size_t i = 2 * k;
+    EXPECT_EQ(members[k].first,
+              to_string(static_cast<obs::ProtocolCounter>(i)));
+    EXPECT_EQ(members[k].second.as_u64(), 100 + i) << members[k].first;
+    if (k > 0) {
+      EXPECT_LT(members[k - 1].first, members[k].first);
     }
   }
 }
@@ -401,7 +407,7 @@ TEST(Scenario, BuildRunReportWithoutTraceOmitsTraceSections) {
   EXPECT_TRUE(report.gauges.empty());
   // Non-trace material is still filled in.
   EXPECT_GT(report.engine.events_executed, 0u);
-  EXPECT_FALSE(report.counters.empty());
+  EXPECT_FALSE(report.counters.nonzero().empty());
 }
 
 }  // namespace

@@ -229,7 +229,8 @@ TEST(FleetReport, AggregatesPerUeRowsAndTotals) {
     certified += r.counters[obs::ProtocolCounter::kLinkChecksCertified];
   }
   EXPECT_GT(certified, 0u);
-  EXPECT_EQ(report.counters.at("link_checks_certified"), certified);
+  EXPECT_EQ(report.counters[obs::ProtocolCounter::kLinkChecksCertified],
+            certified);
 
   // Rendering round-trips: the JSON carries the schema and one object per
   // UE; the human summary mentions the fleet size.

@@ -24,18 +24,32 @@ obs::RunReport make_report() {
   report.handover.first_interruption_ms = 0.0;
   report.handover.rx_beam_switches = 12;
   report.handover.alignment_fraction = 0.9;
+  report.rate_enabled = true;
+  report.rate.samples = 3000;
+  report.rate.served_samples = 2000;
+  report.rate.bits = 7.5e9;  // 250 Mbps over 30 s
+  report.rate.sum_sinr_db = 25000.0;
+  report.rate.sum_cqi = 22000;
+  report.rate.duration_ms = 30000.0;
+  report.rate.outage_events = 2;
+  report.rate.outage_ms = 300.0;
+  report.rate.longest_outage_ms = 200.0;
   report.engine.events_executed = 5000;
   report.engine.queue_depth_hwm = 16;
+  report.engine.wall_seconds = 1.5;
   report.engine.sim_seconds = 30.0;
   report.snapshot_cache.hits = 60;
   report.snapshot_cache.refreshes = 30;
+  report.snapshot_cache.certified_misses = 5;
   report.snapshot_cache.cold_misses = 8;
   report.snapshot_cache.invalidations = 2;
+  report.snapshot_cache.pair_sweeps = 4;
+  report.snapshot_cache.rx_sweeps = 9;
   report.snapshot_cache.full_builds = 10;
   report.snapshot_cache.incremental_builds = 30;
   report.snapshot_cache.geometry_reuses = 12;
-  report.snapshot_cache.hit_rate = 0.9;
-  report.counters["serving_rx_switches"] = 8;
+  report.counters[obs::ProtocolCounter::kServingRxSwitches] = 8;
+  report.counters[obs::ProtocolCounter::kBsSwitches] = 3;
   report.gauges["engine.queue_depth_hwm"] = 16.0;
 
   LogLinearHistogram h;
@@ -82,6 +96,67 @@ TEST(RunReport, JsonCarriesSchemaAndSections) {
   // Pretty-printed document: ends with a newline, starts with a brace.
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '\n');
+}
+
+/// The `"key": {...}` block of a pretty-printed report, from its key to
+/// its closing brace at the same depth; empty when the key is absent.
+std::string json_block(const std::string& json, const std::string& key) {
+  const std::string open = "\n  \"" + key + "\": {\n";
+  const std::size_t begin = json.find(open);
+  if (begin == std::string::npos) {
+    return {};
+  }
+  const std::size_t end = json.find("\n  }", begin + open.size());
+  return json.substr(begin + 1, end + 4 - (begin + 1));
+}
+
+TEST(RunReport, JsonRendersStatisticBlocksExactly) {
+  const std::string json = make_report().to_json();
+  EXPECT_EQ(json_block(json, "engine"),
+            "  \"engine\": {\n"
+            "    \"events_executed\": 5000,\n"
+            "    \"queue_depth_hwm\": 16,\n"
+            "    \"wall_seconds\": 1.5,\n"
+            "    \"sim_seconds\": 30,\n"
+            "    \"wall_per_sim_second\": 0.05\n"
+            "  }");
+  EXPECT_EQ(json_block(json, "snapshot_cache"),
+            "  \"snapshot_cache\": {\n"
+            "    \"hits\": 60,\n"
+            "    \"refreshes\": 30,\n"
+            "    \"certified_misses\": 5,\n"
+            "    \"cold_misses\": 8,\n"
+            "    \"invalidations\": 2,\n"
+            "    \"pair_sweeps\": 4,\n"
+            "    \"rx_sweeps\": 9,\n"
+            "    \"full_builds\": 10,\n"
+            "    \"incremental_builds\": 30,\n"
+            "    \"geometry_reuses\": 12,\n"
+            "    \"shadow_reuses\": 0,\n"
+            "    \"blockage_reuses\": 0,\n"
+            "    \"azimuth_reuses\": 0,\n"
+            "    \"hit_rate\": 0.9\n"
+            "  }");
+  EXPECT_EQ(json_block(json, "counters"),
+            "  \"counters\": {\n"
+            "    \"bs_switches\": 3,\n"
+            "    \"serving_rx_switches\": 8\n"
+            "  }");
+  EXPECT_EQ(json_block(json, "throughput"),
+            "  \"throughput\": {\n"
+            "    \"samples\": 3000,\n"
+            "    \"served_samples\": 2000,\n"
+            "    \"mean_mbps\": 250,\n"
+            "    \"mean_sinr_db\": 12.5,\n"
+            "    \"mean_cqi\": 11\n"
+            "  }");
+  EXPECT_EQ(json_block(json, "outage"),
+            "  \"outage\": {\n"
+            "    \"events\": 2,\n"
+            "    \"total_ms\": 300,\n"
+            "    \"longest_ms\": 200,\n"
+            "    \"fraction\": 0.01\n"
+            "  }");
 }
 
 TEST(RunReport, JsonBalancesBracesAndQuotes) {

@@ -324,7 +324,7 @@ TEST(IncrementalSnapshot, UpdateWalkIsBitIdenticalToFullBuilds) {
     PathSnapshot incremental;
     PathSnapshot full;
     SnapshotReuse reuse;
-    SnapshotBuildStats stats;
+    SnapshotCacheStats stats;
     Pose rx_pose;
     rx_pose.position = {30.0, 10.0, 0.0};
     for (int step = 0; step < 60; ++step) {

@@ -152,7 +152,7 @@ TEST(SnapshotEpochCache, CountersAreDisjointAndSumToQueries) {
   cache.fill(0, 0, at_ms(20), MarkerBuilder{1.0, &calls});  // refresh
   cache.fill(1, 0, at_ms(20), MarkerBuilder{1.0, &calls});  // invalidation
   cache.fill(1, 1, at_ms(20), MarkerBuilder{1.0, &calls});  // cold (cell 1)
-  const SnapshotEpochCache::Stats& stats = cache.stats();
+  const SnapshotCacheStats& stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.refreshes, 1u);
   EXPECT_EQ(stats.cold_misses, 2u);
