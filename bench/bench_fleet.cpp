@@ -178,15 +178,11 @@ int main(int argc, char** argv) {
   Table table({"UEs", "threads", "wall s", "UEs/s", "sim s / wall s",
                "cache hit %", "handovers", "SSB obs"});
 
-  struct Entry {
-    std::size_t ues;
-    double wall_seconds;
-    double ues_per_second;
-    double cache_hit_rate;
-    unsigned threads;
-    std::string output_digest;
-  };
-  std::vector<Entry> entries;
+  // BENCH_fleet.json, BENCH_micro.json schema: a "benchmarks" array of
+  // {name, ns_per_op, items_per_second}, plus named extra members.
+  json::Value benchmarks = json::Value::array();
+  json::Value fleet_rows = json::Value::object();
+  std::vector<std::string> digests;
 
   for (const std::size_t n_ues : sweep) {
     const core::ScenarioSpec spec =
@@ -210,9 +206,20 @@ int main(int argc, char** argv) {
         .cell(handovers)
         .cell(result.ssb_observations);
 
-    entries.push_back({n_ues, result.wall_seconds, result.ues_per_second(),
-                       result.snapshot_cache.hit_rate(), result.threads_used,
-                       output_digest(result)});
+    const std::string digest = output_digest(result);
+    digests.push_back("output digest, " + std::to_string(n_ues) +
+                      " UEs: " + digest);
+    benchmarks.push_back(st::bench::benchmark_json(
+        "fleet/ues:" + std::to_string(n_ues),
+        result.wall_seconds * 1e9 / static_cast<double>(n_ues),
+        result.ues_per_second()));
+    json::Value row = json::Value::object();
+    row.set("wall_seconds", result.wall_seconds);
+    row.set("ues_per_second", result.ues_per_second());
+    row.set("snapshot_cache_hit_rate", result.snapshot_cache.hit_rate());
+    row.set("threads", std::uint64_t{result.threads_used});
+    row.set("output_digest", digest);
+    fleet_rows.set("ues_" + std::to_string(n_ues), std::move(row));
 
     // The machine-readable report covers the largest fleet swept.
     if (!report_out.empty() && n_ues == sweep.back()) {
@@ -226,9 +233,8 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  for (const Entry& e : entries) {
-    std::cout << "output digest, " << e.ues << " UEs: " << e.output_digest
-              << "\n";
+  for (const std::string& line : digests) {
+    std::cout << line << "\n";
   }
 
   // The batched fast path (tentpole of the incremental-snapshot work):
@@ -236,14 +242,9 @@ int main(int argc, char** argv) {
   // 10 ms ticks — pure physics throughput, no protocol state machines.
   // ns/op is one incremental snapshot refresh plus one full beam-pair
   // sweep, the unit the >= 10x claim in docs/PERFORMANCE.md is stated in.
-  struct BatchEntry {
-    std::size_t ues;
-    std::size_t sweeps;
-    double wall_seconds;
-    double ns_per_sweep;
-    net::SnapshotCacheStats stats;
-  };
-  std::vector<BatchEntry> batch_entries;
+  // Each batched_sweeps entry is the run's snapshot-cache block plus its
+  // ns_per_sweep.
+  json::Value batched = json::Value::object();
   constexpr int kBatchSteps = 500;
 
   Table batch_table({"UEs", "links", "sweeps", "wall s", "ns/sweep",
@@ -280,62 +281,22 @@ int main(int argc, char** argv) {
                                  static_cast<double>(rebuilds)
                            : 0.0,
               1);
-    batch_entries.push_back({n_ues, sweeps, wall, ns_per_sweep, stats});
+    benchmarks.push_back(st::bench::benchmark_json(
+        "fleet/batched_sweeps/ues:" + std::to_string(n_ues), ns_per_sweep,
+        wall > 0.0 ? static_cast<double>(sweeps) / wall : 0.0));
+    json::Value entry = obs::snapshot_cache_json(stats);
+    entry.set("ns_per_sweep", ns_per_sweep);
+    batched.set("ues_" + std::to_string(n_ues), std::move(entry));
   }
   std::cout << "\nbatched (UE,cell) sweeps, " << kBatchSteps
             << " steps x 10 ms:\n";
   batch_table.print(std::cout);
 
-  // BENCH_micro.json schema: a "benchmarks" array of {name, ns_per_op,
-  // items_per_second}, plus named extra members.
-  std::ofstream out("BENCH_fleet.json");
-  out << "{\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    const double ns_per_ue =
-        e.ues > 0 ? e.wall_seconds * 1e9 / static_cast<double>(e.ues) : 0.0;
-    out << "    {\"name\": \"fleet/ues:" << e.ues
-        << "\", \"ns_per_op\": " << ns_per_ue
-        << ", \"items_per_second\": " << e.ues_per_second << "},\n";
-  }
-  for (std::size_t i = 0; i < batch_entries.size(); ++i) {
-    const BatchEntry& e = batch_entries[i];
-    out << "    {\"name\": \"fleet/batched_sweeps/ues:" << e.ues
-        << "\", \"ns_per_op\": " << e.ns_per_sweep
-        << ", \"items_per_second\": "
-        << (e.wall_seconds > 0.0
-                ? static_cast<double>(e.sweeps) / e.wall_seconds
-                : 0.0)
-        << "}" << (i + 1 < batch_entries.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"fleet\": {";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << (i > 0 ? ", " : "") << "\"ues_" << e.ues
-        << "\": {\"wall_seconds\": " << e.wall_seconds
-        << ", \"ues_per_second\": " << e.ues_per_second
-        << ", \"snapshot_cache_hit_rate\": " << e.cache_hit_rate
-        << ", \"threads\": " << e.threads << ", \"output_digest\": \""
-        << e.output_digest << "\"}";
-  }
-  out << "},\n  \"batched_sweeps\": {";
-  for (std::size_t i = 0; i < batch_entries.size(); ++i) {
-    const BatchEntry& e = batch_entries[i];
-    const net::SnapshotCacheStats& s = e.stats;
-    out << (i > 0 ? ", " : "") << "\"ues_" << e.ues
-        << "\": {\"ns_per_sweep\": " << e.ns_per_sweep
-        << ", \"hits\": " << s.hits << ", \"refreshes\": " << s.refreshes
-        << ", \"cold_misses\": " << s.cold_misses
-        << ", \"invalidations\": " << s.invalidations
-        << ", \"full_builds\": " << s.full_builds
-        << ", \"incremental_builds\": " << s.incremental_builds
-        << ", \"geometry_reuses\": " << s.geometry_reuses
-        << ", \"shadow_reuses\": " << s.shadow_reuses
-        << ", \"blockage_reuses\": " << s.blockage_reuses
-        << ", \"azimuth_reuses\": " << s.azimuth_reuses
-        << ", \"hit_rate\": " << s.hit_rate() << "}";
-  }
-  out << "}\n}\n";
+  json::Value doc = json::Value::object();
+  doc.set("benchmarks", std::move(benchmarks));
+  doc.set("fleet", std::move(fleet_rows));
+  doc.set("batched_sweeps", std::move(batched));
+  std::ofstream("BENCH_fleet.json") << doc.dump() << "\n";
   std::cout << "\nwrote BENCH_fleet.json\n"
             << "Shape check: UEs/s grows with the fleet until the thread "
                "pool saturates; the cache hit rate stays flat (per-UE "

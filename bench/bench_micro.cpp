@@ -18,13 +18,13 @@
 
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/rss_tracker.hpp"
 #include "core/scenario.hpp"
 #include "net/timing.hpp"
+#include "obs/report.hpp"
 #include "phy/channel.hpp"
 #include "phy/codebook.hpp"
 #include "phy/path_snapshot.hpp"
@@ -353,61 +353,39 @@ BENCHMARK(BM_SimulatorEventDispatch);
 
 /// Console reporter that also collects every run and dumps a compact
 /// machine-readable summary (op name -> ns/op, plus items/s where
-/// reported) to BENCH_micro.json on finalize.
+/// reported, then the snapshot-cache block) to BENCH_micro.json on
+/// finalize.
 class JsonTeeReporter final : public benchmark::ConsoleReporter {
  public:
+  explicit JsonTeeReporter(json::Value snapshot_cache)
+      : snapshot_cache_(std::move(snapshot_cache)) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) {
         continue;
       }
-      Entry entry;
-      entry.name = run.benchmark_name();
-      entry.ns_per_op = run.GetAdjustedRealTime() * to_ns(run.time_unit);
+      json::Value entry = json::Value::object();
+      entry.set("name", run.benchmark_name());
+      entry.set("ns_per_op", run.GetAdjustedRealTime() * to_ns(run.time_unit));
       const auto it = run.counters.find("items_per_second");
       if (it != run.counters.end()) {
-        entry.items_per_second = it->second;
-        entry.has_items = true;
+        entry.set("items_per_second", it->second.value);
       }
-      entries_.push_back(entry);
+      benchmarks_.push_back(std::move(entry));
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  /// Extra top-level JSON members ("\"key\": {...}" fragments) appended
-  /// after the benchmark array — carries the snapshot-cache stats.
-  void add_extra(std::string fragment) {
-    extras_.push_back(std::move(fragment));
-  }
-
   void Finalize() override {
     ConsoleReporter::Finalize();
-    std::ofstream out("BENCH_micro.json");
-    out << "{\n  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      out << "    {\"name\": \"" << e.name
-          << "\", \"ns_per_op\": " << e.ns_per_op;
-      if (e.has_items) {
-        out << ", \"items_per_second\": " << e.items_per_second;
-      }
-      out << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
-    }
-    out << "  ]";
-    for (const std::string& extra : extras_) {
-      out << ",\n  " << extra;
-    }
-    out << "\n}\n";
+    json::Value doc = json::Value::object();
+    doc.set("benchmarks", std::move(benchmarks_));
+    doc.set("snapshot_cache", std::move(snapshot_cache_));
+    std::ofstream("BENCH_micro.json") << doc.dump() << "\n";
   }
 
  private:
-  struct Entry {
-    std::string name;
-    double ns_per_op = 0.0;
-    double items_per_second = 0.0;
-    bool has_items = false;
-  };
-
   static double to_ns(benchmark::TimeUnit unit) noexcept {
     switch (unit) {
       case benchmark::kNanosecond:
@@ -422,36 +400,19 @@ class JsonTeeReporter final : public benchmark::ConsoleReporter {
     return 1.0;
   }
 
-  std::vector<Entry> entries_;
-  std::vector<std::string> extras_;
+  json::Value benchmarks_ = json::Value::array();
+  json::Value snapshot_cache_;
 };
 
 /// Snapshot-cache effectiveness on a representative scenario (2 s walk):
 /// the cache is what turns the metric tick's ground-truth sweeps from a
 /// per-query 144-pair evaluation into an epoch lookup, so its hit rate is
 /// tracked in the JSON alongside the kernel timings it protects.
-std::string snapshot_cache_fragment() {
+json::Value snapshot_cache_block() {
   const core::ScenarioSpec spec = core::SpecBuilder(core::preset::paper_walk())
                                       .duration(2'000_ms)
                                       .build();
-  const core::ScenarioResult result = core::run_scenario(spec);
-  const net::SnapshotCacheStats& cache = result.snapshot_cache;
-  std::ostringstream out;
-  out << "\"snapshot_cache\": {\"hits\": " << cache.hits
-      << ", \"refreshes\": " << cache.refreshes
-      << ", \"certified_misses\": " << cache.certified_misses
-      << ", \"cold_misses\": " << cache.cold_misses
-      << ", \"invalidations\": " << cache.invalidations
-      << ", \"pair_sweeps\": " << cache.pair_sweeps
-      << ", \"rx_sweeps\": " << cache.rx_sweeps
-      << ", \"full_builds\": " << cache.full_builds
-      << ", \"incremental_builds\": " << cache.incremental_builds
-      << ", \"geometry_reuses\": " << cache.geometry_reuses
-      << ", \"shadow_reuses\": " << cache.shadow_reuses
-      << ", \"blockage_reuses\": " << cache.blockage_reuses
-      << ", \"azimuth_reuses\": " << cache.azimuth_reuses
-      << ", \"hit_rate\": " << cache.hit_rate() << "}";
-  return out.str();
+  return obs::snapshot_cache_json(core::run_scenario(spec).snapshot_cache);
 }
 
 }  // namespace
@@ -461,8 +422,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  JsonTeeReporter reporter;
-  reporter.add_extra(snapshot_cache_fragment());
+  JsonTeeReporter reporter(snapshot_cache_block());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -144,41 +144,39 @@ int main(int argc, char** argv) {
 
   // BENCH_micro.json schema: a "benchmarks" array of {name, ns_per_op,
   // items_per_second}, plus a named per-combination matrix.
-  std::ofstream out("BENCH_policy.json");
-  out << "{\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    const double runs = static_cast<double>(run_seeds.size());
-    out << "    {\"name\": \"policy/" << e.scenario << "/" << e.policy
-        << "\", \"ns_per_op\": " << e.outcome.wall_seconds * 1e9 / runs
-        << ", \"items_per_second\": "
-        << (e.outcome.wall_seconds > 0.0 ? runs / e.outcome.wall_seconds : 0.0)
-        << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"matrix\": {\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
+  const double runs = static_cast<double>(run_seeds.size());
+  json::Value benchmarks = json::Value::array();
+  json::Value matrix = json::Value::object();
+  for (const Entry& e : entries) {
+    const std::string name = e.scenario + "/" + e.policy;
+    benchmarks.push_back(st::bench::benchmark_json(
+        "policy/" + name, e.outcome.wall_seconds * 1e9 / runs,
+        e.outcome.wall_seconds > 0.0 ? runs / e.outcome.wall_seconds : 0.0));
     const st::bench::Aggregate& agg = e.outcome.agg;
     const rate::RateStats& rate = e.outcome.rate;
-    const double runs = static_cast<double>(run_seeds.size());
-    out << "    \"" << e.scenario << "/" << e.policy << "\": {"
-        << "\"throughput_mbps\": " << rate.mean_throughput_mbps()
-        << ", \"mean_sinr_db\": " << rate.mean_sinr_db()
-        << ", \"mean_cqi\": " << rate.mean_cqi()
-        << ", \"outage_ms_per_run\": " << rate.outage_ms / runs
-        << ", \"outage_events_per_run\": "
-        << static_cast<double>(rate.outage_events) / runs
-        << ", \"outage_fraction\": " << rate.outage_fraction()
-        << ", \"handover_success\": " << agg.handover_success.rate()
-        << ", \"handovers\": " << agg.handover_success.trials()
-        << ", \"interruption_p50_ms\": "
-        << (agg.interruption_ms.empty() ? 0.0 : agg.interruption_ms.median())
-        << ", \"alignment_fraction\": "
-        << (agg.alignment_fraction.empty() ? 0.0
-                                           : agg.alignment_fraction.mean())
-        << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
+    json::Value row = json::Value::object();
+    row.set("throughput_mbps", rate.mean_throughput_mbps());
+    row.set("mean_sinr_db", rate.mean_sinr_db());
+    row.set("mean_cqi", rate.mean_cqi());
+    row.set("outage_ms_per_run", rate.outage_ms / runs);
+    row.set("outage_events_per_run",
+            static_cast<double>(rate.outage_events) / runs);
+    row.set("outage_fraction", rate.outage_fraction());
+    row.set("handover_success", agg.handover_success.rate());
+    row.set("handovers", agg.handover_success.trials());
+    row.set("interruption_p50_ms", agg.interruption_ms.empty()
+                                       ? 0.0
+                                       : agg.interruption_ms.median());
+    row.set("alignment_fraction", agg.alignment_fraction.empty()
+                                      ? 0.0
+                                      : agg.alignment_fraction.mean());
+    matrix.set(name, std::move(row));
   }
-  out << "  },\n  \"runs_per_combination\": " << run_seeds.size() << "\n}\n";
+  json::Value doc = json::Value::object();
+  doc.set("benchmarks", std::move(benchmarks));
+  doc.set("matrix", std::move(matrix));
+  doc.set("runs_per_combination", run_seeds.size());
+  std::ofstream("BENCH_policy.json") << doc.dump() << "\n";
   std::cout << "\nwrote BENCH_policy.json\n"
             << "Shape check: silent_tracker holds alignment with two probes "
                "per drop; hierarchical pays a coarse sweep plus a refine "

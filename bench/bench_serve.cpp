@@ -64,12 +64,11 @@ struct Options {
 
 [[nodiscard]] Value tiny_job(const Options& opt, std::uint64_t seed) {
   Value overrides = Value::object();
-  overrides.set("duration_ms",
-                Value::number(static_cast<double>(opt.duration_ms)));
-  overrides.set("n_ues", Value::unsigned_integer(opt.ues));
+  overrides.set("duration_ms", static_cast<double>(opt.duration_ms));
+  overrides.set("n_ues", opt.ues);
   Value job = Value::object();
-  job.set("preset", Value::string("paper_walk"));
-  job.set("seed", Value::unsigned_integer(seed));
+  job.set("preset", "paper_walk");
+  job.set("seed", seed);
   job.set("overrides", std::move(overrides));
   return job;
 }
@@ -90,13 +89,13 @@ struct Options {
 
 [[nodiscard]] Value latency_digest(const st::SampleSet& samples) {
   Value v = Value::object();
-  v.set("count", Value::unsigned_integer(samples.count()));
+  v.set("count", samples.count());
   if (!samples.empty()) {
-    v.set("mean", Value::number(samples.mean()));
-    v.set("p50", Value::number(samples.percentile(50.0)));
-    v.set("p99", Value::number(samples.percentile(99.0)));
-    v.set("p999", Value::number(samples.percentile(99.9)));
-    v.set("max", Value::number(samples.max()));
+    v.set("mean", samples.mean());
+    v.set("p50", samples.percentile(50.0));
+    v.set("p99", samples.percentile(99.0));
+    v.set("p999", samples.percentile(99.9));
+    v.set("max", samples.max());
   }
   return v;
 }
@@ -366,56 +365,43 @@ int main(int argc, char** argv) {
 
   Value doc = Value::object();
   Value benchmarks = Value::array();
-  {
-    Value b = Value::object();
-    b.set("name", Value::string("serve/closed_loop/clients:" +
-                                std::to_string(opt.clients)));
-    b.set("ns_per_op",
-          Value::number(closed_jps > 0.0 ? 1e9 / closed_jps : 0.0));
-    b.set("items_per_second", Value::number(closed_jps));
-    benchmarks.push_back(std::move(b));
-  }
+  benchmarks.push_back(st::bench::benchmark_json(
+      "serve/closed_loop/clients:" + std::to_string(opt.clients),
+      closed_jps > 0.0 ? 1e9 / closed_jps : 0.0, closed_jps));
   if (opt.open_rate > 0.0) {
-    Value b = Value::object();
-    b.set("name", Value::string("serve/open_loop/rate:" +
-                                std::to_string(
-                                    static_cast<long long>(opt.open_rate))));
-    b.set("ns_per_op", Value::number(open_jps > 0.0 ? 1e9 / open_jps : 0.0));
-    b.set("items_per_second", Value::number(open_jps));
-    benchmarks.push_back(std::move(b));
+    benchmarks.push_back(st::bench::benchmark_json(
+        "serve/open_loop/rate:" +
+            std::to_string(static_cast<long long>(opt.open_rate)),
+        open_jps > 0.0 ? 1e9 / open_jps : 0.0, open_jps));
   }
   doc.set("benchmarks", std::move(benchmarks));
 
   Value closed_block = Value::object();
-  closed_block.set("clients", Value::unsigned_integer(opt.clients));
-  closed_block.set("wall_seconds", Value::number(closed.wall_seconds));
-  closed_block.set("done", Value::unsigned_integer(closed.done));
-  closed_block.set("shed", Value::unsigned_integer(closed.shed));
-  closed_block.set("errors", Value::unsigned_integer(closed.errors));
-  closed_block.set("jobs_per_second", Value::number(closed_jps));
+  closed_block.set("clients", opt.clients);
+  closed_block.set("wall_seconds", closed.wall_seconds);
+  closed_block.set("done", closed.done);
+  closed_block.set("shed", closed.shed);
+  closed_block.set("errors", closed.errors);
+  closed_block.set("jobs_per_second", closed_jps);
   closed_block.set("latency_ms", latency_digest(closed.latency_ms));
-  closed_block.set("telemetry_frames",
-                   Value::unsigned_integer(closed.telemetry_frames));
-  closed_block.set("telemetry_dropped",
-                   Value::unsigned_integer(closed.telemetry_dropped));
+  closed_block.set("telemetry_frames", closed.telemetry_frames);
+  closed_block.set("telemetry_dropped", closed.telemetry_dropped);
   doc.set("closed_loop", std::move(closed_block));
 
   if (opt.open_rate > 0.0) {
     Value open_block = Value::object();
-    open_block.set("target_rate", Value::number(opt.open_rate));
-    open_block.set("submitted", Value::unsigned_integer(open.submitted));
-    open_block.set("accepted", Value::unsigned_integer(open.accepted));
-    open_block.set("shed", Value::unsigned_integer(open.shed));
-    open_block.set("errors", Value::unsigned_integer(open.errors));
-    open_block.set(
-        "shed_rate",
-        Value::number(open.submitted > 0
-                          ? static_cast<double>(open.shed) /
-                                static_cast<double>(open.submitted)
-                          : 0.0));
-    open_block.set("submit_seconds", Value::number(open.submit_seconds));
-    open_block.set("settle_seconds", Value::number(open.settle_seconds));
-    open_block.set("jobs_per_second", Value::number(open_jps));
+    open_block.set("target_rate", opt.open_rate);
+    open_block.set("submitted", open.submitted);
+    open_block.set("accepted", open.accepted);
+    open_block.set("shed", open.shed);
+    open_block.set("errors", open.errors);
+    open_block.set("shed_rate", open.submitted > 0
+                                    ? static_cast<double>(open.shed) /
+                                          static_cast<double>(open.submitted)
+                                    : 0.0);
+    open_block.set("submit_seconds", open.submit_seconds);
+    open_block.set("settle_seconds", open.settle_seconds);
+    open_block.set("jobs_per_second", open_jps);
     doc.set("open_loop", std::move(open_block));
   }
 

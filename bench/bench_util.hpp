@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/scenario.hpp"
@@ -46,6 +47,18 @@ struct ObsOptions {
                   {{"--trace-out", store(options.trace_out)},
                    {"--report-out", store(options.report_out)}});
   return options;
+}
+
+/// One entry of a BENCH_*.json `benchmarks` array (the BENCH_micro.json
+/// schema).
+[[nodiscard]] inline json::Value benchmark_json(std::string_view name,
+                                                double ns_per_op,
+                                                double items_per_second) {
+  json::Value entry = json::Value::object();
+  entry.set("name", name);
+  entry.set("ns_per_op", ns_per_op);
+  entry.set("items_per_second", items_per_second);
+  return entry;
 }
 
 /// Re-run `spec` once with tracing on and write whichever outputs were

@@ -354,22 +354,21 @@ void dump_to(const Value& v, std::string& out);
 void dump_number(const Value& v, std::string& out) {
   // Exact integers round-trip digit for digit: a 64-bit seed must not
   // come back as 1.8446744073709552e+19.
+  char buf[32];
+  std::to_chars_result written{};
   if (v.is_exact_unsigned()) {
-    out += std::to_string(v.as_u64());
-    return;
-  }
-  if (v.is_exact_signed()) {
-    out += std::to_string(v.as_i64());
-    return;
-  }
-  const double d = v.as_double();
-  if (!std::isfinite(d)) {
+    written = std::to_chars(buf, buf + sizeof(buf), v.as_u64());
+  } else if (v.is_exact_signed()) {
+    written = std::to_chars(buf, buf + sizeof(buf), v.as_i64());
+  } else if (const double d = v.as_double(); std::isfinite(d)) {
+    // Shortest text that parses back to the same double: 0.9, not
+    // 0.90000000000000002.
+    written = std::to_chars(buf, buf + sizeof(buf), d);
+  } else {
     out += "null";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out += buf;
+  out.append(buf, written.ptr);
 }
 
 void dump_to(const Value& v, std::string& out) {

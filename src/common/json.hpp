@@ -1,9 +1,10 @@
-// Minimal JSON document model, parser, and writer for the wire protocol.
+// Minimal JSON document model, parser, and writer.
 //
-// The observability exporters only ever *write* JSON; the scenario
-// service (src/serve) also has to *read* it — job submissions arrive as
-// JSON payloads from untrusted clients. This header provides the small
-// dependency-free core both sides share:
+// This is the program's one JSON writer: run and fleet reports, traces,
+// the service's responses and the BENCH_*.json files all render through
+// `dump()`. The scenario service (src/serve) also *reads* JSON — job
+// submissions arrive as payloads from untrusted clients. The header
+// provides the small dependency-free core both sides share:
 //
 //  * `Value` — an ordered document tree (null / bool / number / string /
 //    array / object). Object members keep insertion order so serialised
@@ -14,9 +15,12 @@
 //    depth limit. Malformed input of any kind throws `ParseError`; the
 //    parser never reads past the given view and rejects trailing
 //    garbage, so a hostile payload costs at most one pass over it.
-//  * `dump()` — compact serialisation. `Value::raw()` nodes splice
-//    pre-rendered JSON (the service embeds obs report documents without
-//    re-parsing them); they are writer-only and never produced by parse().
+//  * `dump()` — compact serialisation: one string escaper, and doubles
+//    in their shortest round-trip form (`std::to_chars`, independent of
+//    the locale), so parsing a dumped number gives back the same double.
+//    `Value::raw()` nodes splice pre-rendered JSON (the service embeds
+//    obs report documents without re-parsing them); they are writer-only
+//    and never produced by parse().
 //
 // This is deliberately not a general-purpose library: no comments, no
 // NaN/Inf literals, no duplicate-key policy beyond last-wins on set().
@@ -84,6 +88,15 @@ class Value {
   /// Append a member, replacing an existing one of the same key
   /// (last-wins). Only valid on objects; returns *this for chaining.
   Value& set(std::string_view key, Value v);
+  /// Shorthands for the common member kinds. There is no bool overload:
+  /// it would capture string literals; use set(key, Value::boolean(b)).
+  Value& set(std::string_view key, double v) { return set(key, number(v)); }
+  Value& set(std::string_view key, std::uint64_t v) {
+    return set(key, unsigned_integer(v));
+  }
+  Value& set(std::string_view key, std::string_view v) {
+    return set(key, string(std::string(v)));
+  }
 
   /// Member lookup; nullptr when absent (or when not an object).
   [[nodiscard]] const Value* find(std::string_view key) const noexcept;
@@ -128,8 +141,9 @@ class Value {
   [[nodiscard]] std::string_view string_or(
       std::string_view fallback) const noexcept;
 
-  /// Compact serialisation (no insignificant whitespace). Non-finite
-  /// numbers render as null (JSON has no NaN/Inf).
+  /// Compact serialisation (no insignificant whitespace). Doubles use
+  /// their shortest round-trip form; non-finite numbers render as null
+  /// (JSON has no NaN/Inf).
   [[nodiscard]] std::string dump() const;
 
  private:

@@ -129,15 +129,6 @@ class ScenarioRun {
     result_.ssb_observations = environment_->ssb_observation_count();
     result_.engine = simulator_.stats();
     result_.snapshot_cache = environment_->snapshot_stats();
-    if (trace_ != nullptr) {
-      obs::MetricRegistry& metrics = trace_->metrics();
-      metrics.gauge("engine.queue_depth_hwm")
-          .set(static_cast<double>(result_.engine.queue_depth_hwm));
-      metrics.gauge("engine.wall_per_sim_second")
-          .set(result_.engine.wall_per_sim_second());
-      metrics.gauge("phy.snapshot_cache.hit_rate")
-          .set(result_.snapshot_cache.hit_rate());
-    }
     result_.trace = trace_;
     return std::move(result_);
   }
@@ -552,9 +543,6 @@ obs::RunReport build_run_report(const ScenarioSpec& spec,
 
     for (const auto& [name, histogram] : trace.metrics().histograms()) {
       report.latencies[name] = obs::HistogramSummary::from(histogram);
-    }
-    for (const auto& [name, gauge] : trace.metrics().gauges()) {
-      report.gauges[name] = gauge.value();
     }
   }
 

@@ -138,9 +138,8 @@ struct ScenarioResult {
 
 /// Assemble the machine-readable run report from a finished result:
 /// handover outcomes, engine and snapshot-cache stats, non-zero protocol
-/// counters,
-/// registry gauges, and latency digests (tracking loop, search, RACH,
-/// per-event dispatch) derived from the typed trace when present. `ue`
+/// counters, and latency digests (tracking loop, search, RACH, per-event
+/// dispatch) derived from the typed trace when present. `ue`
 /// selects which mobile of the spec the result belongs to.
 [[nodiscard]] obs::RunReport build_run_report(const ScenarioSpec& spec,
                                               const ScenarioResult& result,

@@ -320,34 +320,31 @@ ScenarioSpec spec_from_job_json(const Value& job) {
 
 Value profile_to_json(const UeProfile& profile) {
   Value out = Value::object();
-  out.set("mobility", Value::string(std::string(to_string(profile.mobility))));
-  out.set("protocol", Value::string(std::string(to_string(profile.protocol))));
-  out.set("ue_beamwidth_deg", Value::number(profile.ue_beamwidth_deg));
+  out.set("mobility", to_string(profile.mobility));
+  out.set("protocol", to_string(profile.protocol));
+  out.set("ue_beamwidth_deg", profile.ue_beamwidth_deg);
   out.set("ue_ula_codebook", Value::boolean(profile.ue_ula_codebook));
-  out.set("walk_speed_mps", Value::number(profile.walk_speed_mps));
-  out.set("rotation_rate_deg_s", Value::number(profile.rotation_rate_deg_s));
-  out.set("vehicle_speed_mph", Value::number(profile.vehicle_speed_mph));
-  out.set("ping_pong_speed_mps", Value::number(profile.ping_pong_speed_mps));
-  out.set("ping_pong_amplitude_m",
-          Value::number(profile.ping_pong_amplitude_m));
+  out.set("walk_speed_mps", profile.walk_speed_mps);
+  out.set("rotation_rate_deg_s", profile.rotation_rate_deg_s);
+  out.set("vehicle_speed_mph", profile.vehicle_speed_mph);
+  out.set("ping_pong_speed_mps", profile.ping_pong_speed_mps);
+  out.set("ping_pong_amplitude_m", profile.ping_pong_amplitude_m);
   out.set("chain_handovers", Value::boolean(profile.chain_handovers));
 
   const net::HandoverPolicyConfig& policy = profile.handover_policy;
   Value ho = Value::object();
   ho.set("enabled", Value::boolean(policy.enabled));
-  ho.set("hysteresis_db", Value::number(policy.hysteresis_db));
-  ho.set("load_penalty_db", Value::number(policy.load_penalty_db));
-  ho.set("penalty_time_ms", Value::number(policy.penalty_time.ms()));
-  ho.set("candidate_ttl_ms", Value::number(policy.candidate_ttl.ms()));
+  ho.set("hysteresis_db", policy.hysteresis_db);
+  ho.set("load_penalty_db", policy.load_penalty_db);
+  ho.set("penalty_time_ms", policy.penalty_time.ms());
+  ho.set("candidate_ttl_ms", policy.candidate_ttl.ms());
   ho.set("crossover_votes", Value::unsigned_integer(policy.crossover_votes));
-  ho.set("rival_scan_period_ms",
-         Value::number(policy.rival_scan_period.ms()));
-  ho.set("ping_pong_window_ms", Value::number(policy.ping_pong_window.ms()));
+  ho.set("rival_scan_period_ms", policy.rival_scan_period.ms());
+  ho.set("ping_pong_window_ms", policy.ping_pong_window.ms());
   out.set("handover_policy", std::move(ho));
 
   Value bp = Value::object();
-  bp.set("policy",
-         Value::string(std::string(to_string(profile.beam_policy.kind))));
+  bp.set("policy", to_string(profile.beam_policy.kind));
   bp.set("coarse_stride",
          Value::unsigned_integer(profile.beam_policy.coarse_stride));
   out.set("beam_policy", std::move(bp));
@@ -357,22 +354,18 @@ Value profile_to_json(const UeProfile& profile) {
 Value spec_to_json(const ScenarioSpec& spec) {
   Value out = Value::object();
   out.set("cells", Value::unsigned_integer(spec.n_cells));
-  out.set("duration_ms", Value::number(spec.duration.ms()));
-  out.set("metric_period_ms", Value::number(spec.metric_period.ms()));
+  out.set("duration_ms", spec.duration.ms());
+  out.set("metric_period_ms", spec.metric_period.ms());
   out.set("collect_trace", Value::boolean(spec.collect_trace));
-  out.set("seed", Value::unsigned_integer(spec.seed));
+  out.set("seed", spec.seed);
 
   Value deployment = Value::object();
-  deployment.set("inter_site_m", Value::number(spec.deployment.inter_site_m));
-  deployment.set("corridor_offset_m",
-                 Value::number(spec.deployment.corridor_offset_m));
-  deployment.set("bs_beamwidth_deg",
-                 Value::number(spec.deployment.bs_beamwidth_deg));
-  deployment.set("bs_tx_power_dbm",
-                 Value::number(spec.deployment.bs_tx_power_dbm));
+  deployment.set("inter_site_m", spec.deployment.inter_site_m);
+  deployment.set("corridor_offset_m", spec.deployment.corridor_offset_m);
+  deployment.set("bs_beamwidth_deg", spec.deployment.bs_beamwidth_deg);
+  deployment.set("bs_tx_power_dbm", spec.deployment.bs_tx_power_dbm);
   out.set("deployment", std::move(deployment));
-  out.set("deployment_shape",
-          Value::string(std::string(to_string(spec.deployment_shape))));
+  out.set("deployment_shape", to_string(spec.deployment_shape));
   out.set("grid_cols", Value::unsigned_integer(spec.grid_cols));
   Value load = Value::array();
   for (const double l : spec.cell_load) {
@@ -383,9 +376,9 @@ Value spec_to_json(const ScenarioSpec& spec) {
   Value rate = Value::object();
   rate.set("enabled", Value::boolean(spec.rate.enabled));
   rate.set("n_rb", Value::unsigned_integer(spec.rate.n_rb));
-  rate.set("slots_per_second", Value::number(spec.rate.slots_per_second));
-  rate.set("outage_sinr_db", Value::number(spec.rate.outage_sinr_db));
-  rate.set("min_outage_ms", Value::number(spec.rate.min_outage.ms()));
+  rate.set("slots_per_second", spec.rate.slots_per_second);
+  rate.set("outage_sinr_db", spec.rate.outage_sinr_db);
+  rate.set("min_outage_ms", spec.rate.min_outage.ms());
   out.set("rate", std::move(rate));
 
   Value ues = Value::array();

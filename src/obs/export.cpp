@@ -1,98 +1,88 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace st::obs {
 
 namespace {
 
-[[nodiscard]] std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-[[nodiscard]] std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
 /// Microsecond timestamp (trace-event native unit) from sim time.
-[[nodiscard]] std::string ts_us(sim::Time t) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(t.ns()) / 1000.0);
-  return buf;
+[[nodiscard]] double ts_us(sim::Time t) {
+  return static_cast<double>(t.ns()) / 1000.0;
+}
+
+/// A record opening with "name" (when non-empty), "ph", "pid" and "tid".
+[[nodiscard]] json::Value record(std::string_view name, std::string_view ph,
+                                 std::uint64_t tid) {
+  json::Value v = json::Value::object();
+  if (!name.empty()) {
+    v.set("name", name);
+  }
+  v.set("ph", ph);
+  v.set("pid", std::uint64_t{1});
+  v.set("tid", tid);
+  return v;
 }
 
 /// Event-specific args object for instant events.
-[[nodiscard]] std::string args_json(const TraceEvent& e) {
-  std::string args = "{";
-  bool first = true;
-  const auto add = [&](std::string_view key, const std::string& rendered) {
-    if (!first) {
-      args += ",";
-    }
-    first = false;
-    args += "\"";
-    args += key;
-    args += "\":";
-    args += rendered;
-  };
+[[nodiscard]] json::Value args_json(const TraceEvent& e) {
+  json::Value args = json::Value::object();
   if (e.cell >= 0) {
-    add("cell", std::to_string(e.cell));
+    args.set("cell", json::Value::integer(e.cell));
   }
   if (e.beam_a >= 0) {
-    add("beam_a", std::to_string(e.beam_a));
+    args.set("beam_a", json::Value::integer(e.beam_a));
   }
   if (e.beam_b >= 0) {
-    add("beam_b", std::to_string(e.beam_b));
+    args.set("beam_b", json::Value::integer(e.beam_b));
   }
-  add("value", fmt_double(e.value));
-  add("value2", fmt_double(e.value2));
-  add("flag", e.flag ? "true" : "false");
+  args.set("value", e.value);
+  args.set("value2", e.value2);
+  args.set("flag", json::Value::boolean(e.flag));
   if (!e.label.empty()) {
-    std::string quoted;
-    quoted += '"';
-    quoted += escape(e.label);
-    quoted += '"';
-    add("label", quoted);
+    args.set("label", e.label);
   }
-  args += "}";
   return args;
+}
+
+/// A metadata record naming the process (tid 0) or a track.
+[[nodiscard]] json::Value metadata(std::string_view kind, std::uint64_t tid,
+                                   std::string_view name) {
+  json::Value args = json::Value::object();
+  args.set("name", name);
+  json::Value v = record(kind, "M", tid);
+  v.set("args", std::move(args));
+  return v;
 }
 
 }  // namespace
 
 bool write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  // The envelope renders like any document; the records then stream
+  // into its empty event array one at a time, so a full trace is never
+  // held as one document.
+  json::Value envelope = json::Value::object();
+  envelope.set("displayTimeUnit", "ms");
+  envelope.set("traceEvents", json::Value::array());
+  const std::string shell = envelope.dump();
+  const std::size_t events_end = shell.rfind(']');
+  os << shell.substr(0, events_end) << '\n';
   bool first = true;
-  const auto emit = [&](const std::string& event_json) {
+  const auto emit = [&](const json::Value& event) {
     if (!first) {
       os << ",\n";
     }
     first = false;
-    os << event_json;
+    os << event.dump();
   };
 
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-       "\"args\":{\"name\":\"silent-tracker sim\"}}");
+  emit(metadata("process_name", 0, "silent-tracker sim"));
 
   // The timestamp slices close at: the latest event anywhere in the trace.
   sim::Time trace_end = sim::Time::zero();
@@ -109,18 +99,9 @@ bool write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
     if (events.empty()) {
       continue;
     }
-    const std::string tid = std::to_string(i + 1);
-    const std::string tag(to_string(component));
-
-    {
-      std::string line;
-      line += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-      line += tid;
-      line += ",\"args\":{\"name\":\"";
-      line += tag;
-      line += "\"}}";
-      emit(line);
-    }
+    const std::uint64_t tid = i + 1;
+    const std::string_view tag = to_string(component);
+    emit(metadata("thread_name", tid, tag));
 
     if (component == Component::kServe) {
       // Daemon job lifecycle: jobs overlap (several run while others
@@ -132,23 +113,18 @@ bool write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
       const auto async_event = [&](char ph, std::string_view name,
                                    std::int64_t job, sim::Time at,
                                    const TraceEvent* args_of) {
-        std::string line;
-        line += "{\"name\":\"";
-        line += escape(name);
-        line += "\",\"cat\":\"job\",\"ph\":\"";
-        line += ph;
-        line += "\",\"id\":\"job-";
-        line += std::to_string(job);
-        line += "\",\"pid\":1,\"tid\":";
-        line += tid;
-        line += ",\"ts\":";
-        line += ts_us(at);
+        json::Value v = json::Value::object();
+        v.set("name", name);
+        v.set("cat", "job");
+        v.set("ph", std::string_view(&ph, 1));
+        v.set("id", "job-" + std::to_string(job));
+        v.set("pid", std::uint64_t{1});
+        v.set("tid", tid);
+        v.set("ts", ts_us(at));
         if (args_of != nullptr) {
-          line += ",\"args\":";
-          line += args_json(*args_of);
+          v.set("args", args_json(*args_of));
         }
-        line += "}";
-        emit(line);
+        emit(v);
       };
       std::map<std::int64_t, std::string> open_state;
       for (const TraceEvent& e : events) {
@@ -176,13 +152,9 @@ bool write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
     }
 
     const auto close_slice = [&](sim::Time at) {
-      std::string line;
-      line += "{\"ph\":\"E\",\"pid\":1,\"tid\":";
-      line += tid;
-      line += ",\"ts\":";
-      line += ts_us(at);
-      line += "}";
-      emit(line);
+      json::Value v = record({}, "E", tid);
+      v.set("ts", ts_us(at));
+      emit(v);
     };
 
     bool slice_open = false;
@@ -192,54 +164,40 @@ bool write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
           if (slice_open) {
             close_slice(e.t);
           }
-          std::string line;
-          line += "{\"name\":\"";
-          line += escape(e.label);
-          line += "\",\"ph\":\"B\",\"pid\":1,\"tid\":";
-          line += tid;
-          line += ",\"ts\":";
-          line += ts_us(e.t);
-          line += ",\"args\":";
-          line += args_json(e);
-          line += "}";
-          emit(line);
+          json::Value v = record(e.label, "B", tid);
+          v.set("ts", ts_us(e.t));
+          v.set("args", args_json(e));
+          emit(v);
           slice_open = true;
           break;
         }
         case TraceEventType::kRssSample: {
           // Counter track per component and cell: Perfetto renders each
           // distinct counter name as its own series.
-          std::string name = tag;
+          std::string name(tag);
           name += " rss_dbm";
           if (e.cell >= 0) {
             name += " cell=";
             name += std::to_string(e.cell);
           }
-          std::string line;
-          line += "{\"name\":\"";
-          line += name;
-          line += "\",\"ph\":\"C\",\"pid\":1,\"tid\":";
-          line += tid;
-          line += ",\"ts\":";
-          line += ts_us(e.t);
-          line += ",\"args\":{\"dbm\":";
-          line += fmt_double(e.value);
-          line += "}}";
-          emit(line);
+          json::Value args = json::Value::object();
+          args.set("dbm", e.value);
+          json::Value v = record(name, "C", tid);
+          v.set("ts", ts_us(e.t));
+          v.set("args", std::move(args));
+          emit(v);
           break;
         }
         default: {
-          std::string line;
-          line += "{\"name\":\"";
-          line += to_string(e.type);
-          line += "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":";
-          line += tid;
-          line += ",\"ts\":";
-          line += ts_us(e.t);
-          line += ",\"args\":";
-          line += args_json(e);
-          line += "}";
-          emit(line);
+          json::Value v = json::Value::object();
+          v.set("name", to_string(e.type));
+          v.set("ph", "i");
+          v.set("s", "t");
+          v.set("pid", std::uint64_t{1});
+          v.set("tid", tid);
+          v.set("ts", ts_us(e.t));
+          v.set("args", args_json(e));
+          emit(v);
           break;
         }
       }
@@ -249,7 +207,7 @@ bool write_chrome_trace(const TraceRecorder& recorder, std::ostream& os) {
     }
   }
 
-  os << "\n]}\n";
+  os << '\n' << shell.substr(events_end) << '\n';
   return os.good();
 }
 

@@ -1,6 +1,5 @@
 #include "obs/report.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 #include "common/build_info.hpp"
@@ -10,192 +9,72 @@ namespace st::obs {
 
 namespace {
 
-[[nodiscard]] std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-[[nodiscard]] std::string num(double v) {
-  if (!std::isfinite(v)) {
-    return "null";  // JSON has no NaN/Inf
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-[[nodiscard]] std::string num(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Tiny append-only pretty printer; enough structure for one document.
-class JsonOut {
- public:
-  void open(std::string_view key = {}) { begin(key, '{'); }
-  void open_array(std::string_view key) { begin(key, '['); }
-  void close() { end('}'); }
-  void close_array() { end(']'); }
-
-  void field(std::string_view key, std::string_view string_value) {
-    std::string rendered;
-    rendered += '"';
-    rendered += json_escape(string_value);
-    rendered += '"';
-    item(key, rendered);
-  }
-  void field(std::string_view key, double v) { item(key, num(v)); }
-  void field(std::string_view key, std::uint64_t v) { item(key, num(v)); }
-
-  [[nodiscard]] std::string take() {
-    out_ += '\n';
-    // Appending grows the capacity geometrically, up to twice the text;
-    // the service stores one report per finished job, so hand over a
-    // string sized to its text.
-    out_.shrink_to_fit();
-    return std::move(out_);
-  }
-
- private:
-  void begin(std::string_view key, char bracket) {
-    comma();
-    indent();
-    if (!key.empty()) {
-      out_ += '"';
-      out_ += json_escape(key);
-      out_ += "\": ";
-    }
-    out_ += bracket;
-    out_ += '\n';
-    ++depth_;
-    first_ = true;
-  }
-
-  void end(char bracket) {
-    --depth_;
-    out_ += '\n';
-    indent();
-    out_ += bracket;
-    first_ = false;
-  }
-
-  void item(std::string_view key, const std::string& rendered) {
-    comma();
-    indent();
-    out_ += '"';
-    out_ += json_escape(key);
-    out_ += "\": ";
-    out_ += rendered;
-    first_ = false;
-  }
-
-  void comma() {
-    if (!first_ && !out_.empty()) {
-      out_ += ",\n";
-    } else if (!out_.empty() && out_.back() != '\n') {
-      out_ += '\n';
-    }
-    // After closing a brace `first_` is false, so the comma above covers
-    // the sibling case; nothing else to do.
-  }
-
-  void indent() { out_.append(2 * static_cast<std::size_t>(depth_), ' '); }
-
-  std::string out_;
-  int depth_ = 0;
-  bool first_ = true;
-};
-
-void write_summary(JsonOut& json, std::string_view key,
-                   const HistogramSummary& s) {
-  json.open(key);
-  json.field("count", s.count);
-  json.field("mean", s.mean);
-  json.field("p50", s.p50);
-  json.field("p95", s.p95);
-  json.field("p99", s.p99);
-  json.field("p999", s.p999);
-  json.field("max", s.max);
-  json.close();
-}
-
-void write_provenance(JsonOut& json, const ProvenanceReport& p) {
-  json.open("provenance");
-  json.field("git_describe", p.git_describe);
-  json.field("compiler", p.compiler);
-  json.field("build_type", p.build_type);
-  json.field("simd_dispatch", p.simd_dispatch);
-  json.close();
-}
-
-void write_engine(JsonOut& json, const sim::EngineStats& engine) {
-  json.open("engine");
-  json.field("events_executed", engine.events_executed);
-  json.field("queue_depth_hwm", engine.queue_depth_hwm);
-  json.field("wall_seconds", engine.wall_seconds);
-  json.field("sim_seconds", engine.sim_seconds);
-  json.field("wall_per_sim_second", engine.wall_per_sim_second());
-  json.close();
-}
-
-void write_snapshot_cache(JsonOut& json,
-                          const phy::SnapshotCacheStats& cache) {
-  json.open("snapshot_cache");
-  json.field("hits", cache.hits);
-  json.field("refreshes", cache.refreshes);
-  json.field("certified_misses", cache.certified_misses);
-  json.field("cold_misses", cache.cold_misses);
-  json.field("invalidations", cache.invalidations);
-  json.field("pair_sweeps", cache.pair_sweeps);
-  json.field("rx_sweeps", cache.rx_sweeps);
-  json.field("full_builds", cache.full_builds);
-  json.field("incremental_builds", cache.incremental_builds);
-  json.field("geometry_reuses", cache.geometry_reuses);
-  json.field("shadow_reuses", cache.shadow_reuses);
-  json.field("blockage_reuses", cache.blockage_reuses);
-  json.field("azimuth_reuses", cache.azimuth_reuses);
-  json.field("hit_rate", cache.hit_rate());
-  json.close();
-}
-
-/// The counters that fired, in name order (the enum's order).
-void write_counters(JsonOut& json, const ProtocolCounters& counters) {
-  json.open("counters");
-  for (const auto& [name, value] : counters.nonzero()) {
-    json.field(name, value);
-  }
-  json.close();
+/// The document as reports hand it over: compact, newline-terminated.
+[[nodiscard]] std::string document_text(const json::Value& doc) {
+  std::string text = doc.dump();
+  text += '\n';
+  return text;
 }
 
 }  // namespace
+
+json::Value histogram_json(const HistogramSummary& summary) {
+  json::Value v = json::Value::object();
+  v.set("count", summary.count);
+  v.set("mean", summary.mean);
+  v.set("p50", summary.p50);
+  v.set("p95", summary.p95);
+  v.set("p99", summary.p99);
+  v.set("p999", summary.p999);
+  v.set("max", summary.max);
+  return v;
+}
+
+json::Value provenance_json(const ProvenanceReport& provenance) {
+  json::Value v = json::Value::object();
+  v.set("git_describe", provenance.git_describe);
+  v.set("compiler", provenance.compiler);
+  v.set("build_type", provenance.build_type);
+  v.set("simd_dispatch", provenance.simd_dispatch);
+  return v;
+}
+
+json::Value engine_json(const sim::EngineStats& engine) {
+  json::Value v = json::Value::object();
+  v.set("events_executed", engine.events_executed);
+  v.set("queue_depth_hwm", engine.queue_depth_hwm);
+  v.set("wall_seconds", engine.wall_seconds);
+  v.set("sim_seconds", engine.sim_seconds);
+  v.set("wall_per_sim_second", engine.wall_per_sim_second());
+  return v;
+}
+
+json::Value snapshot_cache_json(const phy::SnapshotCacheStats& cache) {
+  json::Value v = json::Value::object();
+  v.set("hits", cache.hits);
+  v.set("refreshes", cache.refreshes);
+  v.set("certified_misses", cache.certified_misses);
+  v.set("cold_misses", cache.cold_misses);
+  v.set("invalidations", cache.invalidations);
+  v.set("pair_sweeps", cache.pair_sweeps);
+  v.set("rx_sweeps", cache.rx_sweeps);
+  v.set("full_builds", cache.full_builds);
+  v.set("incremental_builds", cache.incremental_builds);
+  v.set("geometry_reuses", cache.geometry_reuses);
+  v.set("shadow_reuses", cache.shadow_reuses);
+  v.set("blockage_reuses", cache.blockage_reuses);
+  v.set("azimuth_reuses", cache.azimuth_reuses);
+  v.set("hit_rate", cache.hit_rate());
+  return v;
+}
+
+json::Value counters_json(const ProtocolCounters& counters) {
+  json::Value v = json::Value::object();
+  for (const auto& [name, value] : counters.nonzero()) {
+    v.set(name, value);
+  }
+  return v;
+}
 
 HistogramSummary HistogramSummary::from(const LogLinearHistogram& h) {
   HistogramSummary s;
@@ -220,79 +99,70 @@ ProvenanceReport ProvenanceReport::current() {
 }
 
 std::string RunReport::to_json() const {
-  JsonOut json;
-  json.open();
-  json.field("schema", schema);
-  write_provenance(json, provenance);
+  json::Value doc = json::Value::object();
+  doc.set("schema", schema);
+  doc.set("provenance", provenance_json(provenance));
 
-  json.open("scenario");
-  json.field("mobility", scenario);
-  json.field("protocol", protocol);
+  json::Value echo = json::Value::object();
+  echo.set("mobility", scenario);
+  echo.set("protocol", protocol);
   if (!beam_policy.empty()) {
-    json.field("beam_policy", beam_policy);
+    echo.set("beam_policy", beam_policy);
   }
-  json.field("seed", seed);
-  json.field("duration_ms", duration_ms);
-  json.field("ue_beamwidth_deg", ue_beamwidth_deg);
-  json.field("n_cells", n_cells);
-  json.close();
+  echo.set("seed", seed);
+  echo.set("duration_ms", duration_ms);
+  echo.set("ue_beamwidth_deg", ue_beamwidth_deg);
+  echo.set("n_cells", n_cells);
+  doc.set("scenario", std::move(echo));
 
-  json.open("handover");
-  json.field("total", handover.total);
-  json.field("successful", handover.successful);
-  json.field("soft", handover.soft);
-  json.field("hard", handover.hard);
-  json.field("first_interruption_ms", handover.first_interruption_ms);
-  json.field("mean_interruption_ms", handover.mean_interruption_ms);
-  json.field("rx_beam_switches", handover.rx_beam_switches);
-  json.field("tx_beam_switches", handover.tx_beam_switches);
-  json.field("alignment_fraction", handover.alignment_fraction);
-  json.field("alignment_until_first_handover",
-             handover.alignment_until_first_handover);
-  json.field("ssb_observations", handover.ssb_observations);
-  json.field("ping_pongs", handover.ping_pongs);
-  json.close();
+  json::Value ho = json::Value::object();
+  ho.set("total", handover.total);
+  ho.set("successful", handover.successful);
+  ho.set("soft", handover.soft);
+  ho.set("hard", handover.hard);
+  ho.set("first_interruption_ms", handover.first_interruption_ms);
+  ho.set("mean_interruption_ms", handover.mean_interruption_ms);
+  ho.set("rx_beam_switches", handover.rx_beam_switches);
+  ho.set("tx_beam_switches", handover.tx_beam_switches);
+  ho.set("alignment_fraction", handover.alignment_fraction);
+  ho.set("alignment_until_first_handover",
+         handover.alignment_until_first_handover);
+  ho.set("ssb_observations", handover.ssb_observations);
+  ho.set("ping_pongs", handover.ping_pongs);
+  doc.set("handover", std::move(ho));
 
   if (rate_enabled) {
-    json.open("throughput");
-    json.field("samples", rate.samples);
-    json.field("served_samples", rate.served_samples);
-    json.field("mean_mbps", rate.mean_throughput_mbps());
-    json.field("mean_sinr_db", rate.mean_sinr_db());
-    json.field("mean_cqi", rate.mean_cqi());
-    json.close();
+    json::Value throughput = json::Value::object();
+    throughput.set("samples", rate.samples);
+    throughput.set("served_samples", rate.served_samples);
+    throughput.set("mean_mbps", rate.mean_throughput_mbps());
+    throughput.set("mean_sinr_db", rate.mean_sinr_db());
+    throughput.set("mean_cqi", rate.mean_cqi());
+    doc.set("throughput", std::move(throughput));
 
-    json.open("outage");
-    json.field("events", rate.outage_events);
-    json.field("total_ms", rate.outage_ms);
-    json.field("longest_ms", rate.longest_outage_ms);
-    json.field("fraction", rate.outage_fraction());
-    json.close();
+    json::Value outage = json::Value::object();
+    outage.set("events", rate.outage_events);
+    outage.set("total_ms", rate.outage_ms);
+    outage.set("longest_ms", rate.longest_outage_ms);
+    outage.set("fraction", rate.outage_fraction());
+    doc.set("outage", std::move(outage));
   }
 
-  write_engine(json, engine);
-  write_snapshot_cache(json, snapshot_cache);
-  write_counters(json, counters);
+  doc.set("engine", engine_json(engine));
+  doc.set("snapshot_cache", snapshot_cache_json(snapshot_cache));
+  doc.set("counters", counters_json(counters));
 
-  json.open("gauges");
-  for (const auto& [name, value] : gauges) {
-    json.field(name, value);
-  }
-  json.close();
-
-  json.open("latencies");
+  json::Value digests = json::Value::object();
   for (const auto& [name, summary] : latencies) {
-    write_summary(json, name, summary);
+    digests.set(name, histogram_json(summary));
   }
-  json.close();
+  doc.set("latencies", std::move(digests));
 
-  json.open("trace");
-  json.field("events", trace_events);
-  json.field("dropped", trace_dropped);
-  json.close();
-
-  json.close();
-  return json.take();
+  json::Value trace = json::Value::object();
+  trace.set("events", trace_events);
+  trace.set("dropped", trace_dropped);
+  doc.set("trace", std::move(trace));
+  return document_text(doc);
 }
 
 std::string RunReport::summary_text() const {
@@ -356,99 +226,97 @@ std::string RunReport::summary_text() const {
 }
 
 std::string FleetReport::to_json() const {
-  JsonOut json;
-  json.open();
-  json.field("schema", schema);
-  write_provenance(json, provenance);
+  json::Value doc = json::Value::object();
+  doc.set("schema", schema);
+  doc.set("provenance", provenance_json(provenance));
 
-  json.open("fleet");
-  json.field("seed", seed);
-  json.field("duration_ms", duration_ms);
-  json.field("n_cells", n_cells);
-  json.field("n_ues", n_ues);
-  json.field("threads", threads);
-  json.close();
+  json::Value echo = json::Value::object();
+  echo.set("seed", seed);
+  echo.set("duration_ms", duration_ms);
+  echo.set("n_cells", n_cells);
+  echo.set("n_ues", n_ues);
+  echo.set("threads", threads);
+  doc.set("fleet", std::move(echo));
 
-  json.open("handover");
-  json.field("total", handovers_total);
-  json.field("successful", handovers_successful);
-  json.field("soft", soft);
-  json.field("hard", hard);
-  json.field("rach_attempts", rach_attempts);
-  json.field("ssb_observations", ssb_observations);
-  json.field("ping_pongs", ping_pongs);
-  json.field("ping_pong_rate", ping_pong_rate);
-  json.close();
+  json::Value ho = json::Value::object();
+  ho.set("total", handovers_total);
+  ho.set("successful", handovers_successful);
+  ho.set("soft", soft);
+  ho.set("hard", hard);
+  ho.set("rach_attempts", rach_attempts);
+  ho.set("ssb_observations", ssb_observations);
+  ho.set("ping_pongs", ping_pongs);
+  ho.set("ping_pong_rate", ping_pong_rate);
+  doc.set("handover", std::move(ho));
 
   if (rate_enabled) {
-    json.open("throughput");
-    json.field("mean_mbps", mean_throughput_mbps);
-    json.close();
-    json.open("outage");
-    json.field("events", outage_events_total);
-    json.field("total_ms", outage_ms_total);
-    json.close();
+    json::Value throughput = json::Value::object();
+    throughput.set("mean_mbps", mean_throughput_mbps);
+    doc.set("throughput", std::move(throughput));
+    json::Value outage = json::Value::object();
+    outage.set("events", outage_events_total);
+    outage.set("total_ms", outage_ms_total);
+    doc.set("outage", std::move(outage));
   }
 
-  json.open_array("per_cell");
+  json::Value cells = json::Value::array();
   for (const FleetCellReport& cell : per_cell) {
-    json.open();
-    json.field("cell", cell.cell);
-    json.field("load", cell.load);
-    json.field("handovers_in", cell.handovers_in);
-    json.field("handovers_out", cell.handovers_out);
-    json.field("ping_pongs", cell.ping_pongs);
-    json.close();
+    json::Value row = json::Value::object();
+    row.set("cell", cell.cell);
+    row.set("load", cell.load);
+    row.set("handovers_in", cell.handovers_in);
+    row.set("handovers_out", cell.handovers_out);
+    row.set("ping_pongs", cell.ping_pongs);
+    cells.push_back(std::move(row));
   }
-  json.close_array();
+  doc.set("per_cell", std::move(cells));
 
-  json.open("distributions");
-  write_summary(json, "alignment_fraction", alignment_fraction);
-  write_summary(json, "interruption_ms", interruption_ms);
-  write_summary(json, "rach_attempts_per_handover", rach_attempts_per_handover);
+  json::Value distributions = json::Value::object();
+  distributions.set("alignment_fraction", histogram_json(alignment_fraction));
+  distributions.set("interruption_ms", histogram_json(interruption_ms));
+  distributions.set("rach_attempts_per_handover",
+                    histogram_json(rach_attempts_per_handover));
   if (rate_enabled) {
-    write_summary(json, "throughput_mbps", throughput_mbps);
-    write_summary(json, "outage_ms", outage_ms);
+    distributions.set("throughput_mbps", histogram_json(throughput_mbps));
+    distributions.set("outage_ms", histogram_json(outage_ms));
   }
-  json.close();
+  doc.set("distributions", std::move(distributions));
 
-  write_engine(json, engine);
-  write_snapshot_cache(json, snapshot_cache);
-  write_counters(json, counters);
+  doc.set("engine", engine_json(engine));
+  doc.set("snapshot_cache", snapshot_cache_json(snapshot_cache));
+  doc.set("counters", counters_json(counters));
 
-  json.open("timing");
-  json.field("wall_seconds", wall_seconds);
-  json.field("ues_per_second", ues_per_second);
-  json.close();
+  json::Value timing = json::Value::object();
+  timing.set("wall_seconds", wall_seconds);
+  timing.set("ues_per_second", ues_per_second);
+  doc.set("timing", std::move(timing));
 
-  json.open_array("ues");
+  json::Value rows = json::Value::array();
   for (const FleetUeReport& ue : ues) {
-    json.open();
-    json.field("ue", ue.ue);
-    json.field("scenario", ue.scenario);
-    json.field("protocol", ue.protocol);
-    json.field("seed", ue.seed);
-    json.field("handovers_total", ue.handovers_total);
-    json.field("handovers_successful", ue.handovers_successful);
-    json.field("soft", ue.soft);
-    json.field("hard", ue.hard);
-    json.field("mean_interruption_ms", ue.mean_interruption_ms);
-    json.field("alignment_fraction", ue.alignment_fraction);
-    json.field("rach_attempts", ue.rach_attempts);
-    json.field("ssb_observations", ue.ssb_observations);
-    json.field("ping_pongs", ue.ping_pongs);
+    json::Value row = json::Value::object();
+    row.set("ue", ue.ue);
+    row.set("scenario", ue.scenario);
+    row.set("protocol", ue.protocol);
+    row.set("seed", ue.seed);
+    row.set("handovers_total", ue.handovers_total);
+    row.set("handovers_successful", ue.handovers_successful);
+    row.set("soft", ue.soft);
+    row.set("hard", ue.hard);
+    row.set("mean_interruption_ms", ue.mean_interruption_ms);
+    row.set("alignment_fraction", ue.alignment_fraction);
+    row.set("rach_attempts", ue.rach_attempts);
+    row.set("ssb_observations", ue.ssb_observations);
+    row.set("ping_pongs", ue.ping_pongs);
     if (rate_enabled) {
-      json.field("throughput_mbps", ue.throughput_mbps);
-      json.field("mean_sinr_db", ue.mean_sinr_db);
-      json.field("outage_events", ue.outage_events);
-      json.field("outage_ms", ue.outage_ms);
+      row.set("throughput_mbps", ue.throughput_mbps);
+      row.set("mean_sinr_db", ue.mean_sinr_db);
+      row.set("outage_events", ue.outage_events);
+      row.set("outage_ms", ue.outage_ms);
     }
-    json.close();
+    rows.push_back(std::move(row));
   }
-  json.close_array();
-
-  json.close();
-  return json.take();
+  doc.set("ues", std::move(rows));
+  return document_text(doc);
 }
 
 std::string FleetReport::summary_text() const {

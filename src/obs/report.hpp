@@ -10,7 +10,8 @@
 // (sim::EngineStats, phy::SnapshotCacheStats, rate::RateStats,
 // obs::ProtocolCounters), so a new counter is declared once; the derived
 // numbers (hit rate, means, wall per sim-second) are computed when the
-// report is rendered.
+// report is rendered. Each statistic block has one JSON builder below,
+// which the reports, the service and the bench files all share.
 // Schema versioned as "silent-tracker/run-report/v1"; consumers should
 // check the `schema` field before parsing further.
 #pragma once
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "obs/trace.hpp"
 #include "phy/path_snapshot.hpp"
@@ -98,8 +100,6 @@ struct RunReport {
   phy::SnapshotCacheStats snapshot_cache;
   /// Protocol event counts; the JSON lists those that fired, by name.
   ProtocolCounters counters;
-  /// Registry gauges at end of run.
-  std::map<std::string, double> gauges;
   /// Latency digests: "tracking_loop_ms", "search_ms", "rach_ms",
   /// "engine.dispatch_us", ...
   std::map<std::string, HistogramSummary> latencies;
@@ -107,7 +107,7 @@ struct RunReport {
   std::uint64_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
 
-  /// Pretty-printed JSON document (trailing newline included).
+  /// Compact JSON document (trailing newline included).
   [[nodiscard]] std::string to_json() const;
 
   /// One-screen human rendering for the example binaries.
@@ -206,11 +206,21 @@ struct FleetReport {
   double wall_seconds = 0.0;
   double ues_per_second = 0.0;
 
-  /// Pretty-printed JSON document (trailing newline included).
+  /// Compact JSON document (trailing newline included).
   [[nodiscard]] std::string to_json() const;
 
   /// One-screen human rendering for the fleet bench/examples.
   [[nodiscard]] std::string summary_text() const;
 };
+
+// The one JSON rendering of each statistic block.
+[[nodiscard]] json::Value histogram_json(const HistogramSummary& summary);
+[[nodiscard]] json::Value provenance_json(const ProvenanceReport& provenance);
+[[nodiscard]] json::Value engine_json(const sim::EngineStats& engine);
+/// The counts in declaration order, then the derived `hit_rate`.
+[[nodiscard]] json::Value snapshot_cache_json(
+    const phy::SnapshotCacheStats& cache);
+/// The counters that fired, in name order.
+[[nodiscard]] json::Value counters_json(const ProtocolCounters& counters);
 
 }  // namespace st::obs

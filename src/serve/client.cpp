@@ -67,13 +67,13 @@ namespace {
 
 [[nodiscard]] json::Value typed(std::string_view type) {
   json::Value v = json::Value::object();
-  v.set("type", json::Value::string(std::string(type)));
+  v.set("type", type);
   return v;
 }
 
 [[nodiscard]] json::Value typed_id(std::string_view type, std::uint64_t id) {
   json::Value v = typed(type);
-  v.set("id", json::Value::unsigned_integer(id));
+  v.set("id", id);
   return v;
 }
 
@@ -93,7 +93,7 @@ json::Value Client::status(std::uint64_t id) {
 
 json::Value Client::events(std::uint64_t id, std::uint64_t after) {
   json::Value v = typed_id("events", id);
-  v.set("after", json::Value::unsigned_integer(after));
+  v.set("after", after);
   return request(v);
 }
 
@@ -113,12 +113,12 @@ json::Value Client::subscribe(std::string_view filter,
                               std::uint32_t snapshot_period_ms, bool delta,
                               std::size_t queue) {
   json::Value v = typed("subscribe");
-  v.set("filter", json::Value::string(std::string(filter)));
+  v.set("filter", filter);
   v.set("snapshot_period_ms",
         json::Value::unsigned_integer(snapshot_period_ms));
   v.set("delta", json::Value::boolean(delta));
   if (queue > 0) {
-    v.set("queue", json::Value::unsigned_integer(queue));
+    v.set("queue", queue);
   }
   return request(v);
 }

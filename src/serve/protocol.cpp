@@ -63,8 +63,8 @@ json::Value ok_response() {
 
 json::Value error_response(std::string_view code, std::string_view message) {
   json::Value err = json::Value::object();
-  err.set("code", json::Value::string(std::string(code)));
-  err.set("message", json::Value::string(std::string(message)));
+  err.set("code", code);
+  err.set("message", message);
   json::Value v = json::Value::object();
   v.set("ok", json::Value::boolean(false));
   v.set("error", std::move(err));

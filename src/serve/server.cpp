@@ -49,40 +49,16 @@ namespace {
   return true;
 }
 
-[[nodiscard]] json::Value histogram_summary_json(
-    const LogLinearHistogram& h) {
-  json::Value v = json::Value::object();
-  v.set("count", json::Value::unsigned_integer(h.count()));
-  v.set("mean", json::Value::number(h.mean()));
-  v.set("p50", json::Value::number(h.p50()));
-  v.set("p95", json::Value::number(h.p95()));
-  v.set("p99", json::Value::number(h.p99()));
-  v.set("p999", json::Value::number(h.p999()));
-  v.set("max", json::Value::number(h.max()));
-  return v;
-}
-
-[[nodiscard]] json::Value provenance_json() {
-  const obs::ProvenanceReport p = obs::ProvenanceReport::current();
-  json::Value v = json::Value::object();
-  v.set("git_describe", json::Value::string(p.git_describe));
-  v.set("compiler", json::Value::string(p.compiler));
-  v.set("build_type", json::Value::string(p.build_type));
-  v.set("simd_dispatch", json::Value::string(p.simd_dispatch));
-  return v;
-}
-
 /// The `events` poll's rendering of a job's event `seq`; the bus payload
 /// is this object plus "id" and "state".
 [[nodiscard]] json::Value event_json(const Job& job, std::uint64_t seq) {
   const JobEvent& e = job.events[seq];
   json::Value v = json::Value::object();
-  v.set("seq", json::Value::unsigned_integer(seq));
-  v.set("event", json::Value::string(std::string(
-                     e.progress ? "ue_complete" : to_string(e.state))));
+  v.set("seq", seq);
+  v.set("event", e.progress ? "ue_complete" : to_string(e.state));
   if (e.progress) {
-    v.set("ues_completed", json::Value::unsigned_integer(e.ues_completed));
-    v.set("ues_total", json::Value::unsigned_integer(job.ues_total));
+    v.set("ues_completed", e.ues_completed);
+    v.set("ues_total", job.ues_total);
   }
   return v;
 }
@@ -280,17 +256,15 @@ json::Value Server::handle_submit(const json::Value& request) {
     json::Value v = error_response(
         errc::kShed, "queue full (capacity " +
                          std::to_string(queue_.capacity()) + "); job shed");
-    v.set("id", json::Value::unsigned_integer(id));
+    v.set("id", id);
     return v;
   }
   metrics_.gauge("serve.queue_depth").set(static_cast<double>(queue_.depth()));
 
   json::Value v = ok_response();
-  v.set("id", json::Value::unsigned_integer(id));
-  v.set("state", json::Value::string(std::string(to_string(record.state))));
-  v.set("queue_depth",
-        json::Value::unsigned_integer(static_cast<std::uint64_t>(
-            queue_.depth())));
+  v.set("id", id);
+  v.set("state", to_string(record.state));
+  v.set("queue_depth", static_cast<std::uint64_t>(queue_.depth()));
   return v;
 }
 
@@ -307,12 +281,12 @@ json::Value Server::handle_status(const json::Value& request) {
                           "no job with id " + std::to_string(id));
   }
   json::Value v = ok_response();
-  v.set("id", json::Value::unsigned_integer(id));
-  v.set("state", json::Value::string(std::string(to_string(job->state))));
-  v.set("ues_total", json::Value::unsigned_integer(job->ues_total));
-  v.set("ues_completed", json::Value::unsigned_integer(job->ues_completed));
+  v.set("id", id);
+  v.set("state", to_string(job->state));
+  v.set("ues_total", job->ues_total);
+  v.set("ues_completed", job->ues_completed);
   if (job->state == JobState::kFailed) {
-    v.set("error", json::Value::string(job->error));
+    v.set("error", job->error);
   }
   return v;
 }
@@ -339,10 +313,10 @@ json::Value Server::handle_events(const json::Value& request) {
     events.push_back(event_json(*job, seq));
   }
   json::Value v = ok_response();
-  v.set("id", json::Value::unsigned_integer(id));
+  v.set("id", id);
   v.set("events", std::move(events));
-  v.set("next", json::Value::unsigned_integer(job->events.size()));
-  v.set("state", json::Value::string(std::string(to_string(job->state))));
+  v.set("next", job->events.size());
+  v.set("state", to_string(job->state));
   return v;
 }
 
@@ -361,7 +335,7 @@ json::Value Server::handle_result(const json::Value& request) {
   switch (job->state) {
     case JobState::kDone: {
       json::Value v = ok_response();
-      v.set("id", json::Value::unsigned_integer(id));
+      v.set("id", id);
       // Splice the pre-rendered report document without re-parsing it.
       v.set("report", json::Value::raw(job->report_json));
       return v;
@@ -399,14 +373,14 @@ json::Value Server::handle_cancel(const json::Value& request) {
     json::Value v = error_response(
         errc::kAlreadyCancelled,
         "job " + std::to_string(id) + " already has a cancel request");
-    v.set("state", json::Value::string(std::string(to_string(job->state))));
+    v.set("state", to_string(job->state));
     return v;
   }
   if (job_state_terminal(job->state)) {
     json::Value v = error_response(
         errc::kAlreadyFinished, "job " + std::to_string(id) + " is already " +
                                     std::string(to_string(job->state)));
-    v.set("state", json::Value::string(std::string(to_string(job->state))));
+    v.set("state", to_string(job->state));
     return v;
   }
   job->cancel_requested = true;
@@ -418,8 +392,8 @@ json::Value Server::handle_cancel(const json::Value& request) {
     job->finished_at = std::chrono::steady_clock::now();
   }
   json::Value v = ok_response();
-  v.set("id", json::Value::unsigned_integer(id));
-  v.set("state", json::Value::string(std::string(to_string(job->state))));
+  v.set("id", id);
+  v.set("state", to_string(job->state));
   return v;
 }
 
@@ -429,8 +403,7 @@ json::Value Server::handle_stats() {
   for (const char* name :
        {"submitted", "queued", "running", "done", "cancelled", "failed",
         "shed"}) {
-    jobs.set(name, json::Value::unsigned_integer(metrics_.counter_value(
-                       std::string("serve.jobs.") + name)));
+    jobs.set(name, metrics_.counter_value(std::string("serve.jobs.") + name));
   }
   json::Value latency = json::Value::object();
   // "serve." and "fleet." are both 6 characters, so the prefix strip
@@ -439,47 +412,39 @@ json::Value Server::handle_stats() {
        {"serve.queue_wait_ms", "serve.run_ms", "serve.e2e_ms",
         "fleet.throughput_mbps", "fleet.outage_ms"}) {
     if (const LogLinearHistogram* h = metrics_.find_histogram(name)) {
-      latency.set(std::string_view(name).substr(6), histogram_summary_json(*h));
+      latency.set(std::string_view(name).substr(6),
+                  obs::histogram_json(obs::HistogramSummary::from(*h)));
     }
   }
   json::Value stats = json::Value::object();
-  stats.set("queue_depth", json::Value::unsigned_integer(
-                               static_cast<std::uint64_t>(queue_.depth())));
-  stats.set("queue_capacity", json::Value::unsigned_integer(
-                                  static_cast<std::uint64_t>(
-                                      queue_.capacity())));
-  stats.set("workers", json::Value::unsigned_integer(
-                           static_cast<std::uint64_t>(config_.workers)));
-  stats.set("jobs_running", json::Value::unsigned_integer(
-                                static_cast<std::uint64_t>(jobs_running_)));
+  stats.set("queue_depth", static_cast<std::uint64_t>(queue_.depth()));
+  stats.set("queue_capacity", static_cast<std::uint64_t>(queue_.capacity()));
+  stats.set("workers", static_cast<std::uint64_t>(config_.workers));
+  stats.set("jobs_running", static_cast<std::uint64_t>(jobs_running_));
   stats.set("draining", json::Value::boolean(draining_));
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started_at_)
           .count();
-  stats.set("uptime_seconds", json::Value::number(uptime));
+  stats.set("uptime_seconds", uptime);
   const std::uint64_t done = metrics_.counter_value("serve.jobs.done");
   const std::uint64_t submitted =
       metrics_.counter_value("serve.jobs.submitted");
   const std::uint64_t shed = metrics_.counter_value("serve.jobs.shed");
   stats.set("jobs_per_second",
-            json::Value::number(
-                uptime > 0.0 ? static_cast<double>(done) / uptime : 0.0));
-  stats.set("shed_rate",
-            json::Value::number(submitted > 0
-                                    ? static_cast<double>(shed) /
-                                          static_cast<double>(submitted)
-                                    : 0.0));
+            uptime > 0.0 ? static_cast<double>(done) / uptime : 0.0);
+  stats.set("shed_rate", submitted > 0 ? static_cast<double>(shed) /
+                                             static_cast<double>(submitted)
+                                       : 0.0);
   stats.set("jobs", std::move(jobs));
   stats.set("latency", std::move(latency));
   json::Value telemetry = json::Value::object();
-  telemetry.set("subscribers", json::Value::unsigned_integer(
-                                   bus_.subscriber_count()));
-  telemetry.set("published", json::Value::unsigned_integer(bus_.published()));
-  telemetry.set("dropped",
-                json::Value::unsigned_integer(bus_.total_dropped()));
+  telemetry.set("subscribers", bus_.subscriber_count());
+  telemetry.set("published", bus_.published());
+  telemetry.set("dropped", bus_.total_dropped());
   stats.set("telemetry", std::move(telemetry));
-  stats.set("provenance", provenance_json());
+  stats.set("provenance",
+            obs::provenance_json(obs::ProvenanceReport::current()));
   json::Value v = ok_response();
   v.set("stats", std::move(stats));
   return v;
@@ -538,13 +503,12 @@ json::Value Server::handle_subscribe(const json::Value& request,
 
   json::Value v = ok_response();
   v.set("subscribed", json::Value::boolean(true));
-  v.set("filter", json::Value::string(filter_name));
+  v.set("filter", filter_name);
   v.set("snapshot_period_ms",
         json::Value::unsigned_integer(params.snapshot_period_ms));
   v.set("delta", json::Value::boolean(params.delta));
-  v.set("queue", json::Value::unsigned_integer(params.queue_capacity));
-  v.set("frame_version",
-        json::Value::unsigned_integer(obs::kTelemetryFrameVersion));
+  v.set("queue", params.queue_capacity);
+  v.set("frame_version", obs::kTelemetryFrameVersion);
   if (out != nullptr) {
     *out = params;
   }
@@ -579,8 +543,8 @@ void Server::append_event_locked(Job& job, bool progress) {
   // the job id and state the per-job poll path carries implicitly.
   // Publishing under state_mutex_ keeps bus order equal to seq order.
   json::Value payload = event_json(job, job.events.size() - 1);
-  payload.set("id", json::Value::unsigned_integer(job.id));
-  payload.set("state", json::Value::string(std::string(to_string(e.state))));
+  payload.set("id", job.id);
+  payload.set("state", to_string(e.state));
   bus_.publish(progress ? obs::TelemetryKind::kProgress
                         : obs::TelemetryKind::kJobEvent,
                e.t_ns, payload);
@@ -727,17 +691,15 @@ json::Value Server::build_stats_frame(StatsDeltaState& prev, bool delta) {
   const bool full = !delta || prev.first;
   json::Value data = json::Value::object();
   data.set("full", json::Value::boolean(full));
-  data.set("queue_depth", json::Value::unsigned_integer(
-                              static_cast<std::uint64_t>(queue_.depth())));
-  data.set("jobs_running", json::Value::unsigned_integer(
-                               static_cast<std::uint64_t>(jobs_running_)));
+  data.set("queue_depth", static_cast<std::uint64_t>(queue_.depth()));
+  data.set("jobs_running", static_cast<std::uint64_t>(jobs_running_));
   data.set("draining", json::Value::boolean(draining_));
 
   json::Value counters = json::Value::object();
   for (const auto& [name, counter] : metrics_.counters()) {
     const std::uint64_t value = counter.value();
     if (full || prev.counters[name] != value) {
-      counters.set(name, json::Value::unsigned_integer(value));
+      counters.set(name, value);
     }
     prev.counters[name] = value;
   }
@@ -745,7 +707,7 @@ json::Value Server::build_stats_frame(StatsDeltaState& prev, bool delta) {
   for (const auto& [name, gauge] : metrics_.gauges()) {
     const double value = gauge.value();
     if (full || prev.gauges[name] != value) {
-      gauges.set(name, json::Value::number(value));
+      gauges.set(name, value);
     }
     prev.gauges[name] = value;
   }
@@ -753,7 +715,8 @@ json::Value Server::build_stats_frame(StatsDeltaState& prev, bool delta) {
   for (const auto& [name, histogram] : metrics_.histograms()) {
     const std::uint64_t count = histogram.count();
     if (full || prev.histogram_counts[name] != count) {
-      latency.set(name, histogram_summary_json(histogram));
+      latency.set(name,
+                  obs::histogram_json(obs::HistogramSummary::from(histogram)));
     }
     prev.histogram_counts[name] = count;
   }
@@ -776,15 +739,15 @@ void Server::stream_loop(int fd, const SubscribeParams& params,
                         std::uint64_t dropped) {
     json::Value frame = json::Value::object();
     frame.set("telemetry", json::Value::boolean(true));
-    frame.set("v", json::Value::unsigned_integer(obs::kTelemetryFrameVersion));
-    frame.set("seq", json::Value::unsigned_integer(out_seq++));
+    frame.set("v", obs::kTelemetryFrameVersion);
+    frame.set("seq", out_seq++);
     if (bus_seq > 0) {
-      frame.set("bus_seq", json::Value::unsigned_integer(bus_seq));
+      frame.set("bus_seq", bus_seq);
     }
-    frame.set("kind", json::Value::string(std::string(to_string(kind))));
-    frame.set("t_ns", json::Value::unsigned_integer(t_ns));
+    frame.set("kind", to_string(kind));
+    frame.set("t_ns", t_ns);
     if (dropped > 0) {
-      frame.set("dropped", json::Value::unsigned_integer(dropped));
+      frame.set("dropped", dropped);
     }
     frame.set("data", std::move(data));
     return write_frame(fd, frame.dump());
@@ -901,6 +864,9 @@ void Server::run_job(std::uint64_t id) {
         }
       }
       report = fleet_report.to_json();
+      // The job keeps its report for the daemon's life: store a string
+      // sized to its text, not to the capacity its rendering grew to.
+      report.shrink_to_fit();
     }
   } catch (const std::exception& e) {
     error = e.what();

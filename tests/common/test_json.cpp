@@ -1,12 +1,18 @@
-// The wire-protocol JSON core: strict parsing of hostile input, exact
-// 64-bit integer round-trips, and deterministic serialisation.
+// The JSON core: strict parsing of hostile input, exact 64-bit integer
+// round-trips, shortest round-trip doubles, and deterministic
+// serialisation.
 #include "common/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
+
+#include "phy/path_snapshot.hpp"
 
 namespace {
 
@@ -152,6 +158,26 @@ TEST(Json, DumpParsesBackIdentically) {
   const std::string doc =
       R"({"a":[1,2.5,"s",null,true,-7],"b":{"c":18446744073709551615}})";
   EXPECT_EQ(parse(doc).dump(), doc);
+
+  // Doubles dump in their shortest round-trip form: the text is the
+  // shortest that parses back to the very same bits.
+  EXPECT_EQ(Value::number(0.9).dump(), "0.9");
+  std::vector<double> values = {0.1, 0.9, 1e-310, 1e300};
+  std::mt19937_64 rng(25);
+  for (int i = 0; i < 256; ++i) {
+    st::phy::SnapshotCacheStats cache;
+    cache.hits = rng() % 100'000;
+    cache.refreshes = rng() % 100'000;
+    cache.cold_misses = rng() % 1'000;
+    cache.invalidations = rng() % 1'000;
+    values.push_back(cache.hit_rate());
+  }
+  for (const double x : values) {
+    const std::string text = Value::number(x).dump();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parse(text).as_double()),
+              std::bit_cast<std::uint64_t>(x))
+        << text;
+  }
 }
 
 }  // namespace

@@ -302,8 +302,9 @@ TEST(Scenario, CollectTracePopulatesRecorder) {
       r.trace->metrics().find_histogram("engine.dispatch_us");
   ASSERT_NE(dispatch, nullptr);
   EXPECT_EQ(dispatch->count(), r.engine.events_executed);
-  // End-of-run gauges are recorded for the report.
-  EXPECT_GT(r.trace->metrics().gauges().count("engine.queue_depth_hwm"), 0u);
+  // The run sets no registry gauge: the report's engine and
+  // snapshot_cache blocks carry the end-of-run values.
+  EXPECT_TRUE(r.trace->metrics().gauges().empty());
 }
 
 TEST(Scenario, TraceBufferCapacityIsRespected) {
@@ -404,7 +405,6 @@ TEST(Scenario, BuildRunReportWithoutTraceOmitsTraceSections) {
   const obs::RunReport report = build_run_report(spec, r);
   EXPECT_EQ(report.trace_events, 0u);
   EXPECT_TRUE(report.latencies.empty());
-  EXPECT_TRUE(report.gauges.empty());
   // Non-trace material is still filled in.
   EXPECT_GT(report.engine.events_executed, 0u);
   EXPECT_FALSE(report.counters.nonzero().empty());

@@ -1,5 +1,6 @@
 // Exporters: the Chrome/Perfetto trace must be structurally sound
-// (balanced B/E slices, metadata tracks, instant events with args).
+// (balanced B/E slices, metadata tracks, instant events with args) and
+// parse back with its labels unchanged.
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
@@ -7,7 +8,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/json.hpp"
 
 namespace {
 
@@ -95,6 +99,25 @@ TEST(ChromeTrace, SlicesAreBalancedAndTracksNamed) {
             std::string::npos);
   EXPECT_NE(out.find("\"args\":{\"name\":\"beamsurfer\"}"),
             std::string::npos);
+}
+
+TEST(ChromeTrace, LabelsRoundTripThroughParse) {
+  constexpr std::string_view kLabel =
+      "quote\" backslash\\ newline\n ctrl\x01 end";
+  obs::TraceRecorder recorder;
+  recorder.record(Component::kBeamSurfer,
+                  {.t = at_ms(5),
+                   .type = TraceEventType::kRxBeamSwitch,
+                   .value = -70.25,
+                   .label = kLabel});
+  std::ostringstream os;
+  ASSERT_TRUE(obs::write_chrome_trace(recorder, os));
+  const json::Value doc = json::parse(os.str());
+  const json::Value& event = doc.find("traceEvents")->items().back();
+  EXPECT_EQ(event.find("name")->as_string(), "rx_beam_switch");
+  EXPECT_EQ(event.find("ts")->as_double(), 5000.0);
+  EXPECT_EQ(event.find("args")->find("value")->as_double(), -70.25);
+  EXPECT_EQ(event.find("args")->find("label")->as_string(), kLabel);
 }
 
 TEST(WriteTextFile, RoundTripsAndFailsOnBadPath) {

@@ -1,10 +1,12 @@
-// RunReport: histogram digests, JSON serialisation shape, and the
-// one-screen summary used by the example binaries.
+// RunReport: histogram digests, JSON serialisation shape and string
+// round trips, and the one-screen summary used by the example binaries.
 #include "obs/report.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+
+#include "common/json.hpp"
 
 namespace {
 
@@ -50,7 +52,6 @@ obs::RunReport make_report() {
   report.snapshot_cache.geometry_reuses = 12;
   report.counters[obs::ProtocolCounter::kServingRxSwitches] = 8;
   report.counters[obs::ProtocolCounter::kBsSwitches] = 3;
-  report.gauges["engine.queue_depth_hwm"] = 16.0;
 
   LogLinearHistogram h;
   h.add(10.0);
@@ -83,80 +84,84 @@ TEST(HistogramSummary, DigestsCountMeanAndQuantiles) {
 
 TEST(RunReport, JsonCarriesSchemaAndSections) {
   const std::string json = make_report().to_json();
-  EXPECT_NE(json.find("\"schema\": \"silent-tracker/run-report/v1\""),
+  EXPECT_NE(json.find("\"schema\":\"silent-tracker/run-report/v1\""),
             std::string::npos);
   for (const char* section :
        {"\"scenario\"", "\"handover\"", "\"engine\"", "\"snapshot_cache\"",
-        "\"counters\"", "\"gauges\"", "\"latencies\"", "\"trace\""}) {
+        "\"counters\"", "\"latencies\"", "\"trace\""}) {
     EXPECT_NE(json.find(section), std::string::npos) << section;
   }
+  // The engine and snapshot_cache blocks carry what gauges once repeated.
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"tracking_loop_ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"hit_rate\": 0.9"), std::string::npos);
-  EXPECT_NE(json.find("\"serving_rx_switches\": 8"), std::string::npos);
-  // Pretty-printed document: ends with a newline, starts with a brace.
+  EXPECT_NE(json.find("\"hit_rate\":0.9"), std::string::npos);
+  EXPECT_NE(json.find("\"serving_rx_switches\":8"), std::string::npos);
+  // Compact document: starts with a brace, its only newline ends it.
   EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '\n');
+  EXPECT_EQ(json.find('\n'), json.size() - 1);
 }
 
-/// The `"key": {...}` block of a pretty-printed report, from its key to
-/// its closing brace at the same depth; empty when the key is absent.
+TEST(RunReport, StringFieldsRoundTripThroughParse) {
+  obs::RunReport report = make_report();
+  report.scenario = std::string("quote\" backslash\\ newline\n ctrl\x01 end");
+  const json::Value doc = json::parse(report.to_json());
+  EXPECT_EQ(doc.find("scenario")->find("mobility")->as_string(),
+            report.scenario);
+}
+
+/// The `"key":{...}` block of a compact report, from its key to its
+/// closing brace (the blocks checked here hold no nested object); empty
+/// when the key is absent.
 std::string json_block(const std::string& json, const std::string& key) {
-  const std::string open = "\n  \"" + key + "\": {\n";
-  const std::size_t begin = json.find(open);
+  const std::size_t begin = json.find("\"" + key + "\":{");
   if (begin == std::string::npos) {
     return {};
   }
-  const std::size_t end = json.find("\n  }", begin + open.size());
-  return json.substr(begin + 1, end + 4 - (begin + 1));
+  return json.substr(begin, json.find('}', begin) + 1 - begin);
 }
 
 TEST(RunReport, JsonRendersStatisticBlocksExactly) {
   const std::string json = make_report().to_json();
   EXPECT_EQ(json_block(json, "engine"),
-            "  \"engine\": {\n"
-            "    \"events_executed\": 5000,\n"
-            "    \"queue_depth_hwm\": 16,\n"
-            "    \"wall_seconds\": 1.5,\n"
-            "    \"sim_seconds\": 30,\n"
-            "    \"wall_per_sim_second\": 0.05\n"
-            "  }");
+            "\"engine\":{"
+            "\"events_executed\":5000,"
+            "\"queue_depth_hwm\":16,"
+            "\"wall_seconds\":1.5,"
+            "\"sim_seconds\":30,"
+            "\"wall_per_sim_second\":0.05}");
   EXPECT_EQ(json_block(json, "snapshot_cache"),
-            "  \"snapshot_cache\": {\n"
-            "    \"hits\": 60,\n"
-            "    \"refreshes\": 30,\n"
-            "    \"certified_misses\": 5,\n"
-            "    \"cold_misses\": 8,\n"
-            "    \"invalidations\": 2,\n"
-            "    \"pair_sweeps\": 4,\n"
-            "    \"rx_sweeps\": 9,\n"
-            "    \"full_builds\": 10,\n"
-            "    \"incremental_builds\": 30,\n"
-            "    \"geometry_reuses\": 12,\n"
-            "    \"shadow_reuses\": 0,\n"
-            "    \"blockage_reuses\": 0,\n"
-            "    \"azimuth_reuses\": 0,\n"
-            "    \"hit_rate\": 0.9\n"
-            "  }");
+            "\"snapshot_cache\":{"
+            "\"hits\":60,"
+            "\"refreshes\":30,"
+            "\"certified_misses\":5,"
+            "\"cold_misses\":8,"
+            "\"invalidations\":2,"
+            "\"pair_sweeps\":4,"
+            "\"rx_sweeps\":9,"
+            "\"full_builds\":10,"
+            "\"incremental_builds\":30,"
+            "\"geometry_reuses\":12,"
+            "\"shadow_reuses\":0,"
+            "\"blockage_reuses\":0,"
+            "\"azimuth_reuses\":0,"
+            "\"hit_rate\":0.9}");
   EXPECT_EQ(json_block(json, "counters"),
-            "  \"counters\": {\n"
-            "    \"bs_switches\": 3,\n"
-            "    \"serving_rx_switches\": 8\n"
-            "  }");
+            "\"counters\":{"
+            "\"bs_switches\":3,"
+            "\"serving_rx_switches\":8}");
   EXPECT_EQ(json_block(json, "throughput"),
-            "  \"throughput\": {\n"
-            "    \"samples\": 3000,\n"
-            "    \"served_samples\": 2000,\n"
-            "    \"mean_mbps\": 250,\n"
-            "    \"mean_sinr_db\": 12.5,\n"
-            "    \"mean_cqi\": 11\n"
-            "  }");
+            "\"throughput\":{"
+            "\"samples\":3000,"
+            "\"served_samples\":2000,"
+            "\"mean_mbps\":250,"
+            "\"mean_sinr_db\":12.5,"
+            "\"mean_cqi\":11}");
   EXPECT_EQ(json_block(json, "outage"),
-            "  \"outage\": {\n"
-            "    \"events\": 2,\n"
-            "    \"total_ms\": 300,\n"
-            "    \"longest_ms\": 200,\n"
-            "    \"fraction\": 0.01\n"
-            "  }");
+            "\"outage\":{"
+            "\"events\":2,"
+            "\"total_ms\":300,"
+            "\"longest_ms\":200,"
+            "\"fraction\":0.01}");
 }
 
 TEST(RunReport, JsonBalancesBracesAndQuotes) {

@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
-"""Check the statistic blocks of run and fleet report JSON documents.
+"""Check the shape of run reports, fleet reports and BENCH_fleet.json.
 
-Usage: python3 tools/check_report_shape.py REPORT.json [REPORT.json ...]
+Usage: python3 tools/check_report_shape.py FILE.json [FILE.json ...]
 
-Each document (a RunReport or a FleetReport) must carry:
+Each file is parsed, never grepped: reports are compact JSON.
+
+A report (RunReport or FleetReport, told apart by its `schema`) must
+carry every block its schema requires, and:
   * a `snapshot_cache` block with exactly the counter keys below, in that
     order, whose `hit_rate` is (hits + refreshes) over all queries;
   * a `counters` block whose names are strictly increasing and whose
     values are all positive (only counters that fired are listed);
   * an `engine` block whose `wall_per_sim_second` is wall over sim seconds.
-Derived numbers are compared to a relative 1e-8: reports print doubles
-with ten significant digits. Exits 1 and names the first failed check.
+A BENCH_fleet.json (no `schema`, a `batched_sweeps` block) must give each
+`batched_sweeps` entry the report's `snapshot_cache` keys, in order, plus
+its `ns_per_sweep`, with the same `hit_rate` check.
+
+Doubles are written in their shortest round-trip form, so a derived number
+must equal its recomputation from the printed counts exactly. Exits 1 and
+names the first failed check.
 """
 import json
 import sys
@@ -22,22 +30,34 @@ SNAPSHOT_CACHE_KEYS = [
     "hit_rate",
 ]
 
+REQUIRED_BLOCKS = {
+    "silent-tracker/run-report/v1": [
+        "provenance", "scenario", "handover", "engine", "snapshot_cache",
+        "counters", "latencies", "trace",
+    ],
+    "silent-tracker/fleet-report/v1": [
+        "provenance", "fleet", "handover", "per_cell", "distributions",
+        "engine", "snapshot_cache", "counters", "timing", "ues",
+    ],
+}
 
-def close(actual, expected):
-    return abs(actual - expected) <= 1e-8 * max(abs(actual), abs(expected))
 
-
-def check(path):
-    with open(path) as f:
-        doc = json.load(f)
-
-    cache = doc["snapshot_cache"]
-    assert list(cache) == SNAPSHOT_CACHE_KEYS, f"snapshot_cache keys {list(cache)}"
+def check_snapshot_cache(cache, where):
+    assert list(cache) == SNAPSHOT_CACHE_KEYS, f"{where} keys {list(cache)}"
     reused = cache["hits"] + cache["refreshes"]
     queries = reused + cache["cold_misses"] + cache["invalidations"]
     hit_rate = reused / queries if queries else 0.0
-    assert close(cache["hit_rate"], hit_rate), \
-        f"hit_rate {cache['hit_rate']} != {hit_rate}"
+    assert cache["hit_rate"] == hit_rate, \
+        f"{where} hit_rate {cache['hit_rate']} != {hit_rate}"
+
+
+def check_report(doc):
+    schema = doc.get("schema")
+    assert schema in REQUIRED_BLOCKS, f"unknown schema {schema!r}"
+    missing = [b for b in REQUIRED_BLOCKS[schema] if b not in doc]
+    assert not missing, f"{schema} lacks {missing}"
+
+    check_snapshot_cache(doc["snapshot_cache"], "snapshot_cache")
 
     names = list(doc["counters"])
     assert all(a < b for a, b in zip(names, names[1:])), \
@@ -48,8 +68,27 @@ def check(path):
     engine = doc["engine"]
     sim_seconds = engine["sim_seconds"]
     ratio = engine["wall_seconds"] / sim_seconds if sim_seconds > 0 else 0.0
-    assert close(engine["wall_per_sim_second"], ratio), \
+    assert engine["wall_per_sim_second"] == ratio, \
         f"wall_per_sim_second {engine['wall_per_sim_second']} != {ratio}"
+
+
+def check_bench_fleet(doc):
+    entries = doc["batched_sweeps"]
+    assert entries, "batched_sweeps is empty"
+    for name, entry in entries.items():
+        where = f"batched_sweeps.{name}"
+        assert "ns_per_sweep" in entry, f"{where} lacks ns_per_sweep"
+        check_snapshot_cache(
+            {k: v for k, v in entry.items() if k != "ns_per_sweep"}, where)
+
+
+def check(path):
+    with open(path) as f:
+        doc = json.load(f)
+    if "schema" not in doc and "batched_sweeps" in doc:
+        check_bench_fleet(doc)
+    else:
+        check_report(doc)
 
 
 def main(paths):
@@ -59,7 +98,7 @@ def main(paths):
     for path in paths:
         try:
             check(path)
-        except (AssertionError, KeyError) as e:
+        except (AssertionError, KeyError, ValueError) as e:
             print(f"{path}: {e!r}", file=sys.stderr)
             return 1
         print(f"{path}: ok")
