@@ -22,6 +22,8 @@ struct TrackerWorld {
   explicit TrackerWorld(double speed_mps = 3.0, double beamwidth = 20.0,
                         std::uint64_t seed = 1)
       : env(test::make_two_cell_env(walker(speed_mps), beamwidth, seed)) {}
+  explicit TrackerWorld(net::RadioEnvironment environment)
+      : env(std::move(environment)) {}
 
   static std::shared_ptr<const mobility::MobilityModel> walker(
       double speed_mps) {
@@ -197,6 +199,51 @@ TEST(SilentTracker, StopMidFlightIsClean) {
   // Only the environment-less residue may fire; protocol is quiet.
   EXPECT_LE(world.sim.events_executed() - executed, 2U);
   EXPECT_EQ(world.tracker->state(), SilentTrackerState::kIdle);
+}
+
+// Cell 1's SSB period is one slot longer than cell 0's, so its bursts
+// slide across the serving bursts: some neighbour slots fall on a serving
+// SSB slot, most do not.
+net::RadioEnvironment drifting_neighbour_env() {
+  net::Deployment d = test::two_cells();
+  const net::BaseStation& cell1 = d.base_stations[1];
+  net::FrameConfig frame = cell1.schedule().config();
+  frame.ssb_period = frame.ssb_period + frame.slot;
+  d.base_stations[1] = net::BaseStation(
+      cell1.id(), cell1.pose(), cell1.codebook(), cell1.tx_power_dbm(),
+      net::FrameSchedule(frame, cell1.schedule().offset()));
+  return net::RadioEnvironment(test::clean_environment(),
+                               std::move(d.base_stations),
+                               TrackerWorld::walker(3.0),
+                               phy::Codebook::from_beamwidth_deg(20.0));
+}
+
+TEST(SilentTracker, ServingSlotsPreemptNeighbourObservations) {
+  TrackerWorld world(drifting_neighbour_env());
+  world.start();
+  world.sim.run_until(Time::zero() + 60'000_ms);
+
+  const std::optional<Time> t_lost =
+      world.first_time_of(obs::TraceEventType::kServingLost);
+  ASSERT_TRUE(t_lost.has_value());
+  EXPECT_GT(world.counters[obs::ProtocolCounter::kNeighbourSlotsPreempted],
+            0U);
+
+  // While the serving cell is alive, no neighbour sample is taken at an
+  // instant the serving schedule holds an SSB slot.
+  const net::FrameSchedule& serving = world.env.bs(0).schedule();
+  std::size_t neighbour_samples = 0;
+  for (const obs::TraceEvent& e :
+       world.trace.buffer(obs::Component::kSilentTracker).snapshot()) {
+    if (e.type != obs::TraceEventType::kRssSample || e.t >= *t_lost) {
+      continue;
+    }
+    ++neighbour_samples;
+    EXPECT_EQ(e.cell, 1U);
+    EXPECT_FALSE(serving.ssb_at(e.t).has_value())
+        << "neighbour sample at a serving slot, t = " << e.t.ms() << " ms";
+  }
+  EXPECT_GT(neighbour_samples, 0U);
 }
 
 TEST(SilentTracker, RequiresTwoCells) {
