@@ -1,11 +1,13 @@
 #include "common/json.hpp"
 
-#include <limits>
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <numeric>
 
 namespace st::json {
 
@@ -144,11 +146,11 @@ class Parser {
 
   Value parse_object(std::size_t depth) {
     expect('{');
-    Value out = Value::object();
+    std::vector<Value::Member> members;
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
-      return out;
+      return Value::object();
     }
     while (true) {
       skip_whitespace();
@@ -156,11 +158,11 @@ class Parser {
       skip_whitespace();
       expect(':');
       skip_whitespace();
-      out.set(key, parse_value(depth + 1));
+      members.emplace_back(std::move(key), parse_value(depth + 1));
       skip_whitespace();
       const char c = take();
       if (c == '}') {
-        return out;
+        return Value::object(std::move(members));
       }
       if (c != ',') {
         fail("expected ',' or '}' in object");
@@ -476,6 +478,52 @@ Value Value::array() {
 Value Value::object() {
   Value v;
   v.kind_ = Kind::kObject;
+  return v;
+}
+
+Value Value::object(std::vector<Member> members) {
+  Value v = object();
+  const std::size_t n = members.size();
+  if (n < 2) {
+    v.object_ = std::move(members);
+    return v;
+  }
+  // Sort member positions by (key, position): each run of equal keys is
+  // one key's occurrences in order. The first takes the last's value and
+  // the rest are dropped, keeping the survivors' order.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const int c = members[a].first.compare(members[b].first);
+    return c != 0 ? c < 0 : a < b;
+  });
+  std::vector<bool> dropped(n, false);
+  bool any_dropped = false;
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    while (j < n && members[order[j]].first == members[order[i]].first) {
+      dropped[order[j++]] = true;
+    }
+    if (j - i > 1) {
+      members[order[i]].second = std::move(members[order[j - 1]].second);
+      any_dropped = true;
+    }
+    i = j;
+  }
+  if (any_dropped) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!dropped[i]) {
+        if (kept != i) {
+          members[kept] = std::move(members[i]);
+        }
+        ++kept;
+      }
+    }
+    members.erase(members.begin() + static_cast<std::ptrdiff_t>(kept),
+                  members.end());
+  }
+  v.object_ = std::move(members);
   return v;
 }
 

@@ -23,7 +23,8 @@
 //    and never produced by parse().
 //
 // This is deliberately not a general-purpose library: no comments, no
-// NaN/Inf literals, no duplicate-key policy beyond last-wins on set().
+// NaN/Inf literals. A duplicate key, whether parsed or set(), keeps its
+// first position and takes its last value.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +66,10 @@ class Value {
   static Value string(std::string s);
   static Value array();
   static Value object();
+  /// An object of `members` in order, a duplicate key keeping its first
+  /// position and taking its last value (what set() gives member by
+  /// member), resolved in one sort of the keys rather than a scan each.
+  static Value object(std::vector<Member> members);
   /// Writer-only splice of pre-rendered JSON text (must itself be a
   /// valid document; dump() inserts it verbatim).
   static Value raw(std::string json_text);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/beam_track.hpp"
+
 namespace st::core {
 
 std::string_view to_string(BeamPolicyKind kind) noexcept {
@@ -21,32 +23,23 @@ std::string_view to_string(BeamPolicyKind kind) noexcept {
 
 namespace {
 
-// The paper's planner, verbatim: trend side (or both) plus a fresh
-// re-measurement of the current beam, so candidates compete
-// fresh-vs-fresh instead of against the lagging filter. kFullSweep is
-// the E6 ablation: the whole codebook minus the current beam.
+// The paper's planner, plan_adjacent_probe (core/beam_track.hpp), the
+// one BeamSurfer also calls. kFullSweep is the E6 ablation: the whole
+// codebook minus the current beam.
 class SilentTrackerPolicy final : public BeamPolicy {
  public:
   explicit SilentTrackerPolicy(bool full_sweep) : full_sweep_(full_sweep) {}
 
   void plan_probe(const BeamProbeContext& ctx,
                   std::vector<phy::BeamId>& out) override {
-    const phy::Codebook& cb = ctx.codebook;
     if (!full_sweep_) {
-      if (ctx.rx_trend < 0) {
-        out = {cb.left_neighbour(ctx.current), ctx.current};
-      } else if (ctx.rx_trend > 0) {
-        out = {cb.right_neighbour(ctx.current), ctx.current};
-      } else {
-        out = {cb.left_neighbour(ctx.current), cb.right_neighbour(ctx.current),
-               ctx.current};
-      }
-    } else {
-      out.reserve(cb.size());
-      for (const phy::Beam& beam : cb.beams()) {
-        if (beam.id() != ctx.current) {
-          out.push_back(beam.id());
-        }
+      plan_adjacent_probe(ctx.codebook, ctx.current, ctx.rx_trend, out);
+      return;
+    }
+    out.reserve(ctx.codebook.size());
+    for (const phy::Beam& beam : ctx.codebook.beams()) {
+      if (beam.id() != ctx.current) {
+        out.push_back(beam.id());
       }
     }
   }

@@ -5,10 +5,12 @@
 // — one SSB burst each. WHICH beams to try is exactly where published
 // beam-management designs differ, so that decision is a Strategy:
 //
-//  * kSilentTracker — the paper's design: probe the directionally
-//    adjacent beams (trend side only under steady drift) plus a fresh
-//    re-measurement of the current beam. Two to three bursts per
-//    reaction; beats everything on reaction latency.
+//  * kSilentTracker — the paper's design, plan_adjacent_probe
+//    (core/beam_track.hpp), the planner BeamSurfer also uses on the
+//    serving link: probe the directionally adjacent beams (trend side
+//    only under steady drift) plus a fresh re-measurement of the current
+//    beam. Two to three bursts per reaction; beats everything on
+//    reaction latency.
 //  * kFullSweep — the E6 ablation of the paper's design: re-measure the
 //    whole codebook on every drop. More accurate per decision, but so
 //    slow (one burst per beam) that the link moves on before the sweep
@@ -24,12 +26,12 @@
 //    per reaction, but a channel-induced drop (blockage, distance) still
 //    triggers a switch — there is no fresh-vs-fresh comparison to veto it.
 //
-// The escalation ladder around a probe round — noise-floor detection,
-// the one-shot full-codebook recovery sweep, re-baselining — is common
-// machinery and stays in SilentTracker; policies only plan candidate
-// lists. The default policy reproduces the historical planner bit for
-// bit, so runs with `beam_policy` unset are fingerprint-identical to
-// before the extraction.
+// The probe round itself is the beam-tracking loop both links share
+// (BeamTrack), and the escalation ladder around it — noise-floor
+// detection, the one-shot full-codebook recovery sweep, re-baselining —
+// is SilentTracker's; policies only plan candidate lists. The default
+// policy reproduces the historical planner bit for bit, so runs with
+// `beam_policy` unset are fingerprint-identical to before the extraction.
 #pragma once
 
 #include <memory>

@@ -7,6 +7,12 @@
 //  (i)  Mobile-side adjustment: when the serving RSS drops by 3 dB,
 //       probe the two directionally adjacent receive beams (one SSB burst
 //       each — the radio has a single RF chain) and switch to the best.
+//       This is the loop Silent Tracker runs on the neighbour: both hold
+//       a BeamTrack (core/beam_track.hpp) and plan the round with
+//       plan_adjacent_probe. BeamSurfer adds its own rules: a run of
+//       `missed_ssb_limit` undetected SSBs also fires the round, and the
+//       pre-drop reference is kept across a switch so that rule (ii) can
+//       see that the switch did not suffice.
 //  (ii) Base-station adjustment: when (i) no longer suffices — the best
 //       receive beam is still 3 dB below reference — ask the base station
 //       to switch to a directionally adjacent *transmit* beam. The mobile
@@ -26,6 +32,7 @@
 #include <optional>
 #include <string_view>
 
+#include "core/beam_track.hpp"
 #include "core/rss_tracker.hpp"
 #include "net/environment.hpp"
 #include "obs/trace.hpp"
@@ -76,10 +83,10 @@ class BeamSurfer {
   /// Current serving receive beam (what the data link and link monitor
   /// use; during a probe burst the radio briefly listens elsewhere).
   [[nodiscard]] phy::BeamId rx_beam() const noexcept {
-    return tracker_.beam();
+    return track_.rss().beam();
   }
   [[nodiscard]] double filtered_rss_dbm() const noexcept {
-    return tracker_.filtered_rss_dbm();
+    return track_.rss().filtered_rss_dbm();
   }
 
   /// Fires once when rule (ii)'s uplink request has failed
@@ -99,42 +106,35 @@ class BeamSurfer {
 
  private:
   using State = BeamSurferState;
+  friend class BeamTrack;
 
   /// Single mutation point for `state_` (see core/invariants.hpp).
   void transition_to(State next);
-  void on_burst();
-  void handle_serving_sample(const net::SsbObservation& obs);
-  void finish_probing();
   void attempt_bs_switch();
+
+  // BeamTrack rules (see core/beam_track.hpp). The serving link owns the
+  // radio: nothing pre-empts its slots.
+  [[nodiscard]] static bool radio_busy(sim::Time /*t*/) noexcept {
+    return false;
+  }
+  void on_listening_burst();
+  void on_tracked_sample(bool detected);
+  void on_round_done(std::optional<BeamSample> winner);
 
   sim::Simulator& simulator_;
   net::RadioEnvironment& environment_;
   net::CellId cell_;
   BeamSurferConfig config_;
+  obs::Emitter emit_{obs::Component::kBeamSurfer};
 
   bool running_ = false;
   State state_ = State::kSteady;
-  RssTracker tracker_;
+  BeamTrack track_;
 
-  // Probing bookkeeping: candidates still to measure and results so far.
-  std::vector<phy::BeamId> probe_pending_;
-  std::vector<std::pair<phy::BeamId, double>> probe_results_;
-  std::optional<phy::BeamId> probing_now_;
-
-  // Latest per-TX-beam RSS from the current burst window (adjacent beams
-  // measured opportunistically for rule (ii)).
-  std::optional<std::pair<phy::BeamId, double>> best_adjacent_tx_;
   unsigned request_attempts_ = 0;
   unsigned missed_ssbs_ = 0;
-  /// Trend of RX switches (-1/0/+1), as in SilentTracker: steady drift
-  /// lets the probe round try the trend side only.
-  int rx_trend_ = 0;
-
-  std::vector<sim::EventId> pending_events_;
-  sim::EventId burst_event_ = 0;
 
   std::function<void()> on_unreachable_;
-  obs::Emitter emit_{obs::Component::kBeamSurfer};
 };
 
 }  // namespace st::core

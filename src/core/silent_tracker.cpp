@@ -45,7 +45,8 @@ SilentTracker::SilentTracker(sim::Simulator& simulator,
     : simulator_(simulator),
       environment_(environment),
       config_(config),
-      neighbour_rss_(config.neighbour_tracker),
+      track_(simulator, environment, config.neighbour_tracker, emit_,
+             obs::ProtocolCounter::kNeighbourRxSwitches),
       policy_(policy) {
   if (environment.cell_count() < 2) {
     throw std::invalid_argument(
@@ -127,11 +128,7 @@ bool SilentTracker::radio_busy(sim::Time t) const {
 }
 
 void SilentTracker::cancel_tracking_events() {
-  simulator_.cancel(burst_event_);
-  for (const sim::EventId id : tracking_events_) {
-    simulator_.cancel(id);
-  }
-  tracking_events_.clear();
+  track_.stop();
   simulator_.cancel(rival_scan_event_);
   for (const sim::EventId id : rival_obs_events_) {
     simulator_.cancel(id);
@@ -209,9 +206,6 @@ void SilentTracker::on_search_done(const net::SearchOutcome& outcome) {
   }
 
   emit_.count(obs::ProtocolCounter::kInitialSearchHits);
-  neighbour_ = cell;
-  neighbour_tx_beam_ = tx_beam;
-  neighbour_rss_.select_beam(rx_beam, rss_dbm);
   emit_.emit({.t = simulator_.now(),
               .type = obs::TraceEventType::kCellFound,
               .cell = cell,
@@ -219,31 +213,25 @@ void SilentTracker::on_search_done(const net::SearchOutcome& outcome) {
               .beam_b = rx_beam,
               .value = rss_dbm,
               .value2 = outcome.latency.ms()});
-  enter_tracking();
+  enter_tracking(cell, tx_beam, rx_beam, rss_dbm);
 }
 
 // ---- Silent tracking -----------------------------------------------------
 
-void SilentTracker::enter_tracking() {
+void SilentTracker::enter_tracking(net::CellId cell, phy::BeamId tx_beam,
+                                   phy::BeamId rx_beam, double rss_dbm) {
   transition_to(SilentTrackerState::kTracking);
   emit_.emit({.t = simulator_.now(),
               .type = obs::TraceEventType::kStateTransition,
               .label = "Tracking"});
-  probe_pending_.clear();
-  probe_results_.clear();
-  probing_now_.reset();
-  best_adjacent_tx_.reset();
   retarget_votes_ = 0;
-  rx_trend_ = 0;
   missed_tracked_ = 0;
   in_recovery_sweep_ = false;
   neighbour_quiet_since_.reset();
   policy_.reset();
-
-  const Time next = environment_.bs(neighbour_)
-                        .schedule()
-                        .next_burst_start(simulator_.now());
-  burst_event_ = simulator_.schedule_at(next, [this] { on_neighbour_burst(); });
+  // Tracking persists through kAccessing so the beam is live until Msg4
+  // — the protocol's whole purpose.
+  track_.start(*this, cell, tx_beam, rx_beam, rss_dbm);
 
   // With a decision layer, keep the rivals' scores fresh in the
   // background so the crossover test has something to compare against.
@@ -269,7 +257,7 @@ void SilentTracker::on_rival_scan() {
   rival_obs_events_.clear();
   const net::NeighborList& neighbors = environment_.neighbour_cells(serving_);
   const std::optional<net::CellId> rival =
-      decision_->next_rival(neighbors, neighbour_);
+      decision_->next_rival(neighbors, track_.cell());
   if (rival.has_value()) {
     const net::CellId cell = *rival;
     // A cell heard before is listened to on the beam that heard it; a
@@ -280,7 +268,7 @@ void SilentTracker::on_rival_scan() {
     const phy::BeamId rx = (known.has_value() &&
                             known->rx_beam != phy::kInvalidBeam)
                                ? known->rx_beam
-                               : neighbour_rss_.beam();
+                               : track_.rss().beam();
     const net::FrameSchedule& schedule = environment_.bs(cell).schedule();
     const Time burst = schedule.next_burst_start(simulator_.now());
     for (const phy::Beam& beam : environment_.bs(cell).codebook().beams()) {
@@ -314,7 +302,7 @@ void SilentTracker::check_crossover() {
     return;
   }
   const std::optional<net::HandoverDecision::Choice> winner =
-      decision_->crossover(neighbour_, neighbour_rss_.filtered_rss_dbm(),
+      decision_->crossover(track_.cell(), track_.rss().filtered_rss_dbm(),
                            environment_.neighbour_cells(serving_),
                            simulator_.now());
   if (!winner.has_value()) {
@@ -328,152 +316,59 @@ void SilentTracker::check_crossover() {
   abandon_tracked("crossover");
 }
 
-void SilentTracker::abandon_tracked(std::string_view reason) {
+void SilentTracker::abandon_tracked(std::string_view reason,
+                                    double quiet_ms) {
   emit_.emit({.t = simulator_.now(),
               .type = obs::TraceEventType::kNeighbourAbandoned,
-              .cell = neighbour_,
+              .cell = track_.cell(),
+              .value = quiet_ms,
               .label = reason});
   emit_.count(obs::ProtocolCounter::kNeighbourAbandoned);
   cancel_tracking_events();
-  probe_pending_.clear();
-  probe_results_.clear();
-  probing_now_.reset();
   neighbour_quiet_since_.reset();
   enter_searching();
 }
 
-void SilentTracker::on_neighbour_burst() {
-  tracking_events_.clear();
-  const net::BaseStation& bs = environment_.bs(neighbour_);
-  const net::FrameSchedule& schedule = bs.schedule();
-
-  // Pick this burst's receive beam: a probe candidate, or the tracked beam.
-  probing_now_.reset();
-  if (!probe_pending_.empty()) {
-    probing_now_ = probe_pending_.front();
-    probe_pending_.erase(probe_pending_.begin());
-  }
-  const phy::BeamId listen_beam =
-      probing_now_.has_value() ? *probing_now_ : neighbour_rss_.beam();
-
-  // The tracked TX beam's slot.
-  const net::SsbSlot tracked_slot =
-      schedule.next_ssb_for_beam(simulator_.now(), neighbour_tx_beam_);
-  tracking_events_.push_back(simulator_.schedule_at(
-      tracked_slot.start, [this, listen_beam] {
-        if (radio_busy(simulator_.now())) {
-          emit_.count(obs::ProtocolCounter::kNeighbourSlotsPreempted);
-          return;
-        }
-        const SsbObservation obs = environment_.observe_ssb(
-            neighbour_, neighbour_tx_beam_, listen_beam, simulator_.now());
-        handle_neighbour_sample(obs);
-      }));
-
-  // Adjacent TX beams of the same burst, listened to with the tracked RX
-  // beam: how the tracker follows the neighbour's beam drift silently —
-  // SSBs are broadcast, so no interaction with the cell is needed.
-  if (!probing_now_.has_value()) {
-    best_adjacent_tx_.reset();
-    const phy::BeamId left = bs.codebook().left_neighbour(neighbour_tx_beam_);
-    const phy::BeamId right = bs.codebook().right_neighbour(neighbour_tx_beam_);
-    for (const phy::BeamId tx : {left, right}) {
-      const net::SsbSlot slot =
-          schedule.next_ssb_for_beam(simulator_.now(), tx);
-      tracking_events_.push_back(
-          simulator_.schedule_at(slot.start, [this, tx] {
-            if (radio_busy(simulator_.now())) {
-              return;
-            }
-            const SsbObservation obs = environment_.observe_ssb(
-                neighbour_, tx, neighbour_rss_.beam(), simulator_.now());
-            if (obs.detected &&
-                (!best_adjacent_tx_.has_value() ||
-                 obs.rss_dbm > best_adjacent_tx_->second)) {
-              best_adjacent_tx_ = {tx, obs.rss_dbm};
-            }
-          }));
-    }
-  }
-
-  // Next burst (tracking persists through kAccessing so the beam is live
-  // until Msg4 — the protocol's whole purpose).
-  const Time next = schedule.next_burst_start(tracked_slot.start +
-                                              schedule.burst_duration());
-  burst_event_ = simulator_.schedule_at(next, [this] { on_neighbour_burst(); });
-}
-
-void SilentTracker::handle_neighbour_sample(const SsbObservation& obs) {
-  const double sample = obs.detected
-                            ? obs.rss_dbm
-                            : environment_.link_budget().noise_floor_dbm();
-
-  if (emit_.tracing()) {
-    emit_.emit({.t = simulator_.now(),
-                .type = obs::TraceEventType::kRssSample,
-                .cell = neighbour_,
-                .beam_a = probing_now_.value_or(neighbour_rss_.beam()),
-                .value = sample,
-                .flag = obs.detected});
-  }
-
-  if (probing_now_.has_value()) {
-    probe_results_.emplace_back(*probing_now_, sample);
-    if (probe_pending_.empty()) {
-      finish_neighbour_probe();
-    }
-    return;
-  }
-
-  neighbour_rss_.add_sample(sample);
-  missed_tracked_ = obs.detected ? 0 : missed_tracked_ + 1;
+// The neighbour loop's rules. Adjacent TX beams of the same burst,
+// heard on the tracked RX beam, are how the tracker follows the
+// neighbour's beam drift silently: SSBs are broadcast, so no interaction
+// with the cell is needed.
+void SilentTracker::on_tracked_sample(bool detected) {
+  const net::CellId neighbour = track_.cell();
+  RssTracker& rss = track_.rss();
+  missed_tracked_ = detected ? 0 : missed_tracked_ + 1;
   if (policy_active()) {
     // Keep the incumbent's table entry at the filtered level so the
     // crossover test compares rivals against what tracking actually sees.
-    decision_->update_rss(neighbour_, neighbour_rss_.filtered_rss_dbm(),
-                          simulator_.now());
+    decision_->update_rss(neighbour, rss.filtered_rss_dbm(), simulator_.now());
   }
 
   // Track how long the neighbour has been inaudible. A beam that stays at
   // the correlator floor despite recovery sweeps is no discovered beam at
   // all: abandon it and search again (only while the serving cell still
   // carries us — once in Accessing, the tracked beam is all we have).
-  if (obs.detected) {
+  if (detected) {
     neighbour_quiet_since_.reset();
   } else if (!neighbour_quiet_since_.has_value()) {
     neighbour_quiet_since_ = simulator_.now();
   } else if (state_ == SilentTrackerState::kTracking && serving_alive_ &&
              simulator_.now() - *neighbour_quiet_since_ >=
                  config_.neighbour_abandon_after) {
-    emit_.emit({.t = simulator_.now(),
-                .type = obs::TraceEventType::kNeighbourAbandoned,
-                .cell = neighbour_,
-                .value = (simulator_.now() - *neighbour_quiet_since_).ms()});
-    emit_.count(obs::ProtocolCounter::kNeighbourAbandoned);
-    cancel_tracking_events();
-    probe_pending_.clear();
-    probe_results_.clear();
-    probing_now_.reset();
-    neighbour_quiet_since_.reset();
-    enter_searching();
+    abandon_tracked({}, (simulator_.now() - *neighbour_quiet_since_).ms());
     return;
   }
 
   // TX-beam drift: an adjacent SSB consistently stronger than the tracked
   // one (two bursts in a row) retargets the tracked TX beam.
-  if (best_adjacent_tx_.has_value() &&
-      best_adjacent_tx_->second >
-          neighbour_rss_.filtered_rss_dbm() + config_.tx_retarget_margin_db) {
+  if (track_.adjacent_tx_beats(config_.tx_retarget_margin_db)) {
     if (++retarget_votes_ >= 2) {
       emit_.emit({.t = simulator_.now(),
                   .type = obs::TraceEventType::kTxBeamSwitch,
-                  .cell = neighbour_,
-                  .beam_a = neighbour_tx_beam_,
-                  .beam_b = best_adjacent_tx_->first});
+                  .cell = neighbour,
+                  .beam_a = track_.tx_beam(),
+                  .beam_b = track_.best_adjacent_tx()->beam});
       emit_.count(obs::ProtocolCounter::kNeighbourTxRetargets);
-      neighbour_tx_beam_ = best_adjacent_tx_->first;
-      neighbour_rss_.select_beam(neighbour_rss_.beam(),
-                                 best_adjacent_tx_->second);
+      track_.adopt_adjacent_tx();
       retarget_votes_ = 0;
       return;
     }
@@ -484,33 +379,27 @@ void SilentTracker::handle_neighbour_sample(const SsbObservation& obs) {
   // The 3 dB rule on the neighbour, plus out-of-sync detection (a filter
   // parked at the noise floor cannot fall a further 3 dB): queue probes
   // of the adjacent RX beams.
-  if ((neighbour_rss_.drop_detected() || missed_tracked_ >= 3) &&
-      probe_pending_.empty()) {
+  if ((rss.drop_detected() || missed_tracked_ >= 3) && !track_.probe_queued()) {
     ST_INVARIANT(invariants::check_drop_on_tracked_beam(
-        state_, neighbour_rss_.beam(), environment_.ue_codebook().size()));
+        state_, rss.beam(), environment_.ue_codebook().size()));
     const bool lost = missed_tracked_ >= 3;
     missed_tracked_ = 0;
     emit_.count(obs::ProtocolCounter::kNeighbourDropEvents);
     emit_.emit({.t = simulator_.now(),
                 .type = obs::TraceEventType::kRssDrop,
-                .cell = neighbour_,
-                .value = neighbour_rss_.filtered_rss_dbm(),
-                .value2 = neighbour_rss_.reference_rss_dbm()});
+                .cell = neighbour,
+                .value = rss.filtered_rss_dbm(),
+                .value2 = rss.reference_rss_dbm()});
     policy_.plan_probe({.codebook = environment_.ue_codebook(),
-                         .current = neighbour_rss_.beam(),
-                         .filtered_rss_dbm = neighbour_rss_.filtered_rss_dbm(),
-                         .rx_trend = rx_trend_,
-                         .lost = lost},
-                        probe_pending_);
-    probe_results_.clear();
+                        .current = rss.beam(),
+                        .filtered_rss_dbm = rss.filtered_rss_dbm(),
+                        .rx_trend = track_.rx_trend(),
+                        .lost = lost},
+                       track_.plan_round());
   }
 }
 
-void SilentTracker::finish_neighbour_probe() {
-  const auto best = std::max_element(
-      probe_results_.begin(), probe_results_.end(),
-      [](const auto& a, const auto& b) { return a.second < b.second; });
-
+void SilentTracker::on_round_done(std::optional<BeamSample> winner) {
   // Every candidate at the correlator floor: the beam is lost beyond what
   // adjacent stepping can recover (a 120 deg/s rotation outruns
   // one-beam-per-round chasing). Escalate once to a full-codebook sweep —
@@ -518,71 +407,49 @@ void SilentTracker::finish_neighbour_probe() {
   // concludes at the floor, the neighbour is gone for now: re-baseline
   // and let the missed-SSB counter retrigger probing later.
   const double lost_level = environment_.link_budget().noise_floor_dbm() + 1.0;
-  if (best == probe_results_.end() || best->second <= lost_level) {
-    probing_now_.reset();
-    probe_results_.clear();
+  if (!winner.has_value() || winner->rss_dbm <= lost_level) {
     if (!in_recovery_sweep_) {
       in_recovery_sweep_ = true;
       emit_.count(obs::ProtocolCounter::kNeighbourRecoverySweeps);
       emit_.emit({.t = simulator_.now(),
                   .type = obs::TraceEventType::kRecoverySweep,
-                  .cell = neighbour_});
-      probe_pending_.reserve(environment_.ue_codebook().size());
+                  .cell = track_.cell()});
+      std::vector<phy::BeamId>& plan = track_.plan_round();
+      plan.reserve(environment_.ue_codebook().size());
       for (const phy::Beam& beam : environment_.ue_codebook().beams()) {
-        probe_pending_.push_back(beam.id());
+        plan.push_back(beam.id());
       }
-      rx_trend_ = 0;
+      track_.clear_trend();
     } else {
       in_recovery_sweep_ = false;
-      neighbour_rss_.select_beam(neighbour_rss_.beam(),
-                                 neighbour_rss_.filtered_rss_dbm());
+      RssTracker& rss = track_.rss();
+      rss.select_beam(rss.beam(), rss.filtered_rss_dbm());
     }
     return;
   }
   in_recovery_sweep_ = false;
-  const phy::BeamId winner = best->first;
-  const double winner_rss = best->second;
 
   // Before adopting, let the policy ask for another round (hierarchical
   // coarse-to-fine refines one narrower ring around the coarse winner).
   // The default policy never does, keeping the historical single-round
   // behaviour — and its fingerprint — intact.
+  const RssTracker& rss = track_.rss();
   policy_.plan_refine({.codebook = environment_.ue_codebook(),
-                        .current = neighbour_rss_.beam(),
-                        .filtered_rss_dbm = neighbour_rss_.filtered_rss_dbm(),
-                        .rx_trend = rx_trend_,
-                        .lost = false},
-                       winner, probe_pending_);
-  if (!probe_pending_.empty()) {
+                       .current = rss.beam(),
+                       .filtered_rss_dbm = rss.filtered_rss_dbm(),
+                       .rx_trend = track_.rx_trend(),
+                       .lost = false},
+                      winner->beam, track_.plan_round());
+  if (track_.probe_queued()) {
     emit_.count(obs::ProtocolCounter::kProbeRefineRounds);
-    probing_now_.reset();
-    probe_results_.clear();
     return;
   }
 
-  if (winner != neighbour_rss_.beam()) {
-    emit_.emit({.t = simulator_.now(),
-                .type = obs::TraceEventType::kRxBeamSwitch,
-                .cell = neighbour_,
-                .beam_a = neighbour_rss_.beam(),
-                .beam_b = winner,
-                .value = winner_rss});
-    emit_.count(obs::ProtocolCounter::kNeighbourRxSwitches);
-    rx_trend_ = winner == environment_.ue_codebook().left_neighbour(
-                              neighbour_rss_.beam())
-                    ? -1
-                    : 1;
-    neighbour_rss_.select_beam(winner, winner_rss);
-  } else {
-    rx_trend_ = 0;  // the trend stalled; probe both sides next time
-    // The current beam won its own probe round: it *is* the best the
-    // mobile can do and the loss is the channel's (distance, blockage).
-    // Re-baseline at the fresh level so the drop rule measures future
-    // degradation instead of re-firing every burst on the same loss.
-    neighbour_rss_.select_beam(neighbour_rss_.beam(), winner_rss);
-  }
-  probing_now_.reset();
-  probe_results_.clear();
+  // A current beam that wins its own round *is* the best the mobile can
+  // do and the loss is the channel's (distance, blockage): re-baseline at
+  // the fresh level so the drop rule measures future degradation instead
+  // of re-firing every burst on the same loss.
+  track_.adopt(*winner, /*keep_reference=*/false);
 }
 
 // ---- Serving loss and access ---------------------------------------------
@@ -620,26 +487,26 @@ void SilentTracker::on_serving_lost(std::string_view reason) {
 }
 
 void SilentTracker::enter_accessing() {
+  const net::CellId neighbour = track_.cell();
   ST_INVARIANT(invariants::check_rach_entry(
-      neighbour_, serving_, neighbour_tx_beam_,
-      environment_.bs(neighbour_).codebook().size(), neighbour_rss_.beam(),
+      neighbour, serving_, track_.tx_beam(),
+      environment_.bs(neighbour).codebook().size(), track_.rss().beam(),
       environment_.ue_codebook().size()));
   transition_to(SilentTrackerState::kAccessing);
   emit_.emit({.t = simulator_.now(),
               .type = obs::TraceEventType::kStateTransition,
-              .cell = neighbour_,
-              .beam_a = neighbour_tx_beam_,
-              .beam_b = neighbour_rss_.beam(),
+              .cell = neighbour,
+              .beam_a = track_.tx_beam(),
+              .beam_b = track_.rss().beam(),
               .label = "Accessing"});
-  record_.to = neighbour_;
+  record_.to = neighbour;
   record_.access_started = simulator_.now();
 
   rach_ = std::make_unique<net::RachProcedure>(simulator_, environment_,
                                                config_.rach);
   rach_->set_sinks(emit_.sinks);
   rach_->start(
-      neighbour_, neighbour_tx_beam_,
-      [this] { return neighbour_rss_.beam(); },
+      neighbour, track_.tx_beam(), [this] { return track_.rss().beam(); },
       [this](const net::RachOutcome& o) { on_rach_done(o); });
 }
 
@@ -647,7 +514,7 @@ void SilentTracker::on_rach_done(const net::RachOutcome& outcome) {
   record_.rach_attempts += outcome.attempts;
   emit_.emit({.t = simulator_.now(),
               .type = obs::TraceEventType::kRachOutcome,
-              .cell = neighbour_,
+              .cell = track_.cell(),
               .value = static_cast<double>(outcome.attempts),
               .value2 = outcome.latency.ms(),
               .flag = outcome.success});
@@ -721,12 +588,9 @@ void SilentTracker::on_fallback_search_done(const net::SearchOutcome& outcome) {
     rx_beam = chosen.rx_beam;
     rss_dbm = chosen.rss_dbm;
   }
-  neighbour_ = cell;
-  neighbour_tx_beam_ = tx_beam;
-  neighbour_rss_.select_beam(rx_beam, rss_dbm);
   // Resume tracking during access so the fallback access still benefits
   // from receive-beam adaptation.
-  enter_tracking();
+  enter_tracking(cell, tx_beam, rx_beam, rss_dbm);
   enter_accessing();
 }
 
@@ -736,8 +600,8 @@ void SilentTracker::complete(bool success) {
   cancel_tracking_events();
   record_.success = success;
   record_.completed = simulator_.now();
-  record_.target_tx_beam = neighbour_tx_beam_;
-  record_.final_rx_beam = neighbour_rss_.beam();
+  record_.target_tx_beam = track_.tx_beam();
+  record_.final_rx_beam = track_.rss().beam();
   transition_to(success ? SilentTrackerState::kComplete
                         : SilentTrackerState::kFailed);
   emit_.emit({.t = simulator_.now(),

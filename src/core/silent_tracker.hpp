@@ -21,7 +21,13 @@
 //    beam when the neighbour's RSS drops 3 dB; follow the neighbour's
 //    transmit-beam drift by comparing the adjacent SSBs of the same
 //    burst. No uplink to the neighbour exists yet, so nothing is ever
-//    requested of it: tracking is invisible to the network.
+//    requested of it: tracking is invisible to the network. The loop is
+//    the one BeamSurfer runs on the serving cell (BeamTrack,
+//    core/beam_track.hpp); the tracker adds its own rules: serving SSB
+//    slots pre-empt the neighbour's, two votes retarget the TX beam, a
+//    lost beam gets one full-codebook recovery sweep, the BeamPolicy
+//    plans (and may refine) each round, and a neighbour quiet for
+//    `neighbour_abandon_after` is abandoned.
 //  * Accessing: the serving link has died (radio link failure, or
 //    BeamSurfer's base-station switch request can no longer be
 //    delivered). The mobile switches serving cells and runs random
@@ -39,6 +45,7 @@
 #include <string_view>
 
 #include "core/beam_policy.hpp"
+#include "core/beam_track.hpp"
 #include "core/beamsurfer.hpp"
 #include "core/rss_tracker.hpp"
 #include "net/cell_search.hpp"
@@ -114,14 +121,14 @@ class SilentTracker {
   [[nodiscard]] SilentTrackerState state() const noexcept { return state_; }
   [[nodiscard]] net::CellId serving_cell() const noexcept { return serving_; }
   [[nodiscard]] net::CellId neighbour_cell() const noexcept {
-    return neighbour_;
+    return track_.cell();
   }
   /// Tracked neighbour beams (valid in kTracking and later states).
   [[nodiscard]] phy::BeamId neighbour_rx_beam() const noexcept {
-    return neighbour_rss_.beam();
+    return track_.rss().beam();
   }
   [[nodiscard]] phy::BeamId neighbour_tx_beam() const noexcept {
-    return neighbour_tx_beam_;
+    return track_.tx_beam();
   }
   [[nodiscard]] const BeamSurfer& beamsurfer() const noexcept {
     return *beamsurfer_;
@@ -151,6 +158,8 @@ class SilentTracker {
   void set_decision(net::HandoverDecision* decision);
 
  private:
+  friend class BeamTrack;
+
   /// Single mutation point for `state_`: every state change funnels
   /// through here so the Fig. 2b contract checker (core/invariants.hpp,
   /// compiled in with ST_CHECK_INVARIANTS=ON) sees each transition.
@@ -160,22 +169,28 @@ class SilentTracker {
   }
   void enter_searching();
   void on_search_done(const net::SearchOutcome& outcome);
-  void enter_tracking();
-  void on_neighbour_burst();
+  void enter_tracking(net::CellId cell, phy::BeamId tx_beam,
+                      phy::BeamId rx_beam, double rss_dbm);
   void schedule_rival_scan();
   void on_rival_scan();
   void check_crossover();
-  void abandon_tracked(std::string_view reason);
-  void handle_neighbour_sample(const net::SsbObservation& obs);
-  void finish_neighbour_probe();
+  /// Abandon the tracked neighbour and search again, for `reason` or
+  /// (reason empty) after `quiet_ms` of silence.
+  void abandon_tracked(std::string_view reason, double quiet_ms = 0.0);
   void on_serving_lost(std::string_view reason);
   void enter_accessing();
   void on_rach_done(const net::RachOutcome& outcome);
   void enter_fallback();
   void on_fallback_search_done(const net::SearchOutcome& outcome);
   void complete(bool success);
-  [[nodiscard]] bool radio_busy(sim::Time t) const;
   void cancel_tracking_events();
+
+  // BeamTrack rules (see core/beam_track.hpp). While the serving cell is
+  // alive its SSB slots pre-empt the neighbour's.
+  [[nodiscard]] bool radio_busy(sim::Time t) const;
+  static void on_listening_burst() noexcept {}
+  void on_tracked_sample(bool detected);
+  void on_round_done(std::optional<BeamSample> winner);
 
   sim::Simulator& simulator_;
   net::RadioEnvironment& environment_;
@@ -183,9 +198,9 @@ class SilentTracker {
 
   SilentTrackerState state_ = SilentTrackerState::kIdle;
   net::CellId serving_ = net::kInvalidCell;
-  net::CellId neighbour_ = net::kInvalidCell;
-  phy::BeamId neighbour_tx_beam_ = phy::kInvalidBeam;
-  RssTracker neighbour_rss_;
+  obs::Emitter emit_{obs::Component::kSilentTracker};
+  /// The neighbour loop: cell, TX beam, RX filter and probe rounds.
+  BeamTrack track_;
 
   std::unique_ptr<BeamSurfer> beamsurfer_;
   std::unique_ptr<net::LinkMonitor> link_monitor_;
@@ -193,17 +208,7 @@ class SilentTracker {
   std::unique_ptr<net::CellSearch> fallback_search_;
   std::unique_ptr<net::RachProcedure> rach_;
 
-  // Neighbour tracking burst machinery (mirrors BeamSurfer, silently).
-  std::vector<phy::BeamId> probe_pending_;
-  std::vector<std::pair<phy::BeamId, double>> probe_results_;
-  std::optional<phy::BeamId> probing_now_;
-  std::optional<std::pair<phy::BeamId, double>> best_adjacent_tx_;
   unsigned retarget_votes_ = 0;
-  /// Direction of the last successful RX switch (-1 = left neighbour,
-  /// +1 = right, 0 = unknown): steady motion (walking past a cell,
-  /// rotating the device) drifts the best beam consistently one way, so
-  /// the next probe round tries that side first and costs one burst less.
-  int rx_trend_ = 0;
   /// Consecutive undetected tracked-slot SSBs; at 3 the tracker has lost
   /// the beam beyond what adjacent stepping can recover (e.g. fast
   /// rotation) and runs an NR-style beam-failure-recovery sweep over the
@@ -216,8 +221,6 @@ class SilentTracker {
   /// When the tracked neighbour first went quiet (floor-level probe
   /// conclusions); reset on any detected sample.
   std::optional<sim::Time> neighbour_quiet_since_;
-  std::vector<sim::EventId> tracking_events_;
-  sim::EventId burst_event_ = 0;
 
   /// Background rival refresh (policy runs only): one neighbour-list
   /// cell per scan period gets its next SSB burst observed, feeding the
@@ -234,8 +237,6 @@ class SilentTracker {
   bool serving_alive_ = true;
   unsigned fallback_rounds_ = 0;
   HandoverCallback on_handover_;
-
-  obs::Emitter emit_{obs::Component::kSilentTracker};
 };
 
 }  // namespace st::core

@@ -33,10 +33,6 @@ class RotatedModel final : public MobilityModel {
     return pose;
   }
 
-  [[nodiscard]] double speed_at(sim::Time t) const override {
-    return base_->speed_at(t);
-  }
-
   [[nodiscard]] MotionBound motion_bound(sim::Time t) const override {
     MotionBound bound = base_->motion_bound(t);
     if (bound.until > t) {

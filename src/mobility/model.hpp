@@ -41,9 +41,6 @@ class MobilityModel {
   /// extrapolate beyond their natural horizon, never throw).
   [[nodiscard]] virtual Pose pose_at(sim::Time t) const = 0;
 
-  /// Instantaneous speed [m/s] at `t` (0 for purely rotational models).
-  [[nodiscard]] virtual double speed_at(sim::Time t) const = 0;
-
   /// Certified motion bound from `t` on. The default is no certificate
   /// (`until == t`): trace playback keeps it.
   [[nodiscard]] virtual MotionBound motion_bound(sim::Time t) const {
@@ -63,7 +60,6 @@ class Stationary final : public MobilityModel {
   explicit Stationary(Pose pose) : pose_(pose) {}
 
   [[nodiscard]] Pose pose_at(sim::Time) const override { return pose_; }
-  [[nodiscard]] double speed_at(sim::Time) const override { return 0.0; }
   [[nodiscard]] MotionBound motion_bound(sim::Time) const override {
     return {.until = MotionBound::kForever};
   }

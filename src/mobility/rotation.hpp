@@ -23,7 +23,6 @@ class DeviceRotation final : public MobilityModel {
   explicit DeviceRotation(const RotationConfig& config);
 
   [[nodiscard]] Pose pose_at(sim::Time t) const override;
-  [[nodiscard]] double speed_at(sim::Time) const override { return 0.0; }
   /// Standing still; the yaw turns at |rate| (the sweep's triangle wave
   /// never turns faster).
   [[nodiscard]] MotionBound motion_bound(sim::Time t) const override;

@@ -100,20 +100,6 @@ Pose TracePlayback::pose_at(sim::Time t) const {
   return pose;
 }
 
-double TracePlayback::speed_at(sim::Time t) const {
-  if (t < samples_.front().t || t >= samples_.back().t) {
-    return 0.0;
-  }
-  const std::size_t i = segment_for(t);
-  const TraceSample& a = samples_[i];
-  const TraceSample& b = samples_[i + 1];
-  const double span = (b.t - a.t).seconds();
-  if (span <= 0.0) {
-    return 0.0;
-  }
-  return distance(a.position, b.position) / span;
-}
-
 std::vector<TraceSample> sample_trace(const MobilityModel& model,
                                       sim::Time from, sim::Time to,
                                       sim::Duration step) {

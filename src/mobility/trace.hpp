@@ -35,7 +35,6 @@ class TracePlayback final : public MobilityModel {
   static TracePlayback from_csv_text(const std::string& text);
 
   [[nodiscard]] Pose pose_at(sim::Time t) const override;
-  [[nodiscard]] double speed_at(sim::Time t) const override;
 
   [[nodiscard]] std::size_t sample_count() const noexcept {
     return samples_.size();

@@ -37,14 +37,6 @@ VehicularRoute::VehicularRoute(const VehicularConfig& config)
   total_length_m_ = cumulative;
 }
 
-double VehicularRoute::route_length_m() const noexcept {
-  return total_length_m_;
-}
-
-sim::Duration VehicularRoute::traversal_time() const noexcept {
-  return sim::Duration::seconds_of(total_length_m_ / config_.speed_mps);
-}
-
 double VehicularRoute::travelled_m(sim::Time t) const noexcept {
   return std::clamp(config_.speed_mps * std::max(0.0, t.seconds()), 0.0,
                     total_length_m_);
@@ -97,11 +89,6 @@ Pose VehicularRoute::pose_at(sim::Time t) const {
       std::sin(kTwoPi * config_.yaw_wobble_hz * std::max(0.0, t.seconds()));
   pose.orientation = Quaternion::from_yaw(seg->heading_rad + wobble);
   return pose;
-}
-
-double VehicularRoute::speed_at(sim::Time t) const {
-  const double travelled = config_.speed_mps * std::max(0.0, t.seconds());
-  return travelled >= total_length_m_ ? 0.0 : config_.speed_mps;
 }
 
 }  // namespace st::mobility

@@ -24,16 +24,10 @@ class VehicularRoute final : public MobilityModel {
   explicit VehicularRoute(const VehicularConfig& config);
 
   [[nodiscard]] Pose pose_at(sim::Time t) const override;
-  [[nodiscard]] double speed_at(sim::Time t) const override;
   /// Speed and the wobble's peak yaw rate, until the end of the current
   /// segment: the heading jumps at every waypoint (a ping-pong shuttle
   /// reverses there). Parked at the route's end, the bound never expires.
   [[nodiscard]] MotionBound motion_bound(sim::Time t) const override;
-
-  /// Total route length [m].
-  [[nodiscard]] double route_length_m() const noexcept;
-  /// Time to traverse the full route.
-  [[nodiscard]] sim::Duration traversal_time() const noexcept;
 
  private:
   struct Segment {

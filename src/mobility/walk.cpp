@@ -77,8 +77,6 @@ Pose LinearWalk::pose_at(sim::Time t) const {
   return pose;
 }
 
-double LinearWalk::speed_at(sim::Time) const { return config_.speed_mps; }
-
 MotionBound LinearWalk::motion_bound(sim::Time) const {
   const double sway_speed =
       kTwoPi * std::fabs(config_.sway_frequency_hz * config_.sway_amplitude_m);

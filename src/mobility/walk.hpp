@@ -42,7 +42,6 @@ class LinearWalk final : public MobilityModel {
              std::uint64_t seed);
 
   [[nodiscard]] Pose pose_at(sim::Time t) const override;
-  [[nodiscard]] double speed_at(sim::Time t) const override;
   /// Speed plus the sway's peak lateral speed 2*pi*f*A; the steepest
   /// segment of the interpolated heading jitter. Never expires.
   [[nodiscard]] MotionBound motion_bound(sim::Time t) const override;

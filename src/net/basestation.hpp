@@ -46,15 +46,6 @@ class BaseStation {
   }
   void set_serving_tx_beam(phy::BeamId beam) { serving_tx_beam_ = beam; }
 
-  /// BeamSurfer base-station adjustment: candidates the BS will try when
-  /// the mobile reports that receive-side adaptation no longer suffices —
-  /// the two beams directionally adjacent to the serving one.
-  [[nodiscard]] std::pair<phy::BeamId, phy::BeamId> adjacent_serving_beams()
-      const {
-    return {codebook_.left_neighbour(serving_tx_beam_),
-            codebook_.right_neighbour(serving_tx_beam_)};
-  }
-
  private:
   CellId id_;
   Pose pose_;

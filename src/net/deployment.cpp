@@ -99,10 +99,6 @@ Vec3 Deployment::boundary_between(CellId a, CellId b) const {
   return {(pa.x + pb.x) / 2.0, (pa.y + pb.y) / 2.0, (pa.z + pb.z) / 2.0};
 }
 
-const NeighborList& Deployment::neighbors(CellId cell) const {
-  return neighbor_lists.at(cell);
-}
-
 Deployment make_cell_row(const DeploymentConfig& config, unsigned n_cells) {
   check_geometry("make_cell_row", config, n_cells);
 

@@ -75,10 +75,6 @@ struct Deployment {
   /// boundary of any two equal-power cells. Throws std::out_of_range on an
   /// unknown cell id.
   [[nodiscard]] Vec3 boundary_between(CellId a, CellId b) const;
-
-  /// The handover candidate list of `cell`. Throws std::out_of_range on an
-  /// unknown cell id.
-  [[nodiscard]] const NeighborList& neighbors(CellId cell) const;
 };
 
 /// `n_cells` base stations in a row on the x axis: cell i at

@@ -319,65 +319,4 @@ std::string FleetReport::to_json() const {
   return document_text(doc);
 }
 
-std::string FleetReport::summary_text() const {
-  std::string out;
-  char buf[256];
-  const auto line = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    out += buf;
-    out += '\n';
-  };
-
-  line("== fleet report: %llu UEs, %llu cells (seed %llu) ==",
-       static_cast<unsigned long long>(n_ues),
-       static_cast<unsigned long long>(n_cells),
-       static_cast<unsigned long long>(seed));
-  line("  sim duration     %.1f ms per UE  (wall %.3f s over %llu threads, "
-       "%.2f UEs/s)",
-       duration_ms, wall_seconds, static_cast<unsigned long long>(threads),
-       ues_per_second);
-  line("  handovers        %llu/%llu successful (%llu soft, %llu hard)",
-       static_cast<unsigned long long>(handovers_successful),
-       static_cast<unsigned long long>(handovers_total),
-       static_cast<unsigned long long>(soft),
-       static_cast<unsigned long long>(hard));
-  if (handovers_successful > 0) {
-    line("  ping-pong        %llu round trips (%.3f per successful handover)",
-         static_cast<unsigned long long>(ping_pongs), ping_pong_rate);
-  }
-  if (interruption_ms.count > 0) {
-    line("  interruption     p50 %.1f ms, p95 %.1f ms (%llu handovers)",
-         interruption_ms.p50, interruption_ms.p95,
-         static_cast<unsigned long long>(interruption_ms.count));
-  }
-  if (alignment_fraction.count > 0) {
-    line("  alignment        mean %.1f%%, p50 %.1f%% across %llu tracked UEs",
-         100.0 * alignment_fraction.mean, 100.0 * alignment_fraction.p50,
-         static_cast<unsigned long long>(alignment_fraction.count));
-  }
-  if (rate_enabled) {
-    line("  throughput       %.1f Mbps mean across UEs (p50 %.1f, p95 %.1f)",
-         mean_throughput_mbps, throughput_mbps.p50, throughput_mbps.p95);
-    line("  outage           %llu events, %.1f ms total across UEs",
-         static_cast<unsigned long long>(outage_events_total),
-         outage_ms_total);
-  }
-  line("  rach             %llu attempts (%.2f per successful handover)",
-       static_cast<unsigned long long>(rach_attempts),
-       rach_attempts_per_handover.mean);
-  line("  ssb budget       %llu observations",
-       static_cast<unsigned long long>(ssb_observations));
-  line("  engine           %llu events, queue hwm %llu",
-       static_cast<unsigned long long>(engine.events_executed),
-       static_cast<unsigned long long>(engine.queue_depth_hwm));
-  line("  snapshot cache   %.1f%% hit rate (%llu hits, %llu refreshes / "
-       "%llu cold, %llu evicted)",
-       100.0 * snapshot_cache.hit_rate(),
-       static_cast<unsigned long long>(snapshot_cache.hits),
-       static_cast<unsigned long long>(snapshot_cache.refreshes),
-       static_cast<unsigned long long>(snapshot_cache.cold_misses),
-       static_cast<unsigned long long>(snapshot_cache.invalidations));
-  return out;
-}
-
 }  // namespace st::obs

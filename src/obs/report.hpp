@@ -208,9 +208,6 @@ struct FleetReport {
 
   /// Compact JSON document (trailing newline included).
   [[nodiscard]] std::string to_json() const;
-
-  /// One-screen human rendering for the fleet bench/examples.
-  [[nodiscard]] std::string summary_text() const;
 };
 
 // The one JSON rendering of each statistic block.

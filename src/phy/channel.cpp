@@ -198,16 +198,6 @@ double Channel::rx_power_dbm(const Pose& tx_pose, const Beam& tx_beam,
   return snapshot_rx_power_dbm(snapshot, tx_beam, rx_beam);
 }
 
-Channel::BestBeam Channel::best_rx_beam(const Pose& tx_pose,
-                                        const Beam& tx_beam,
-                                        const Pose& rx_pose,
-                                        const Codebook& rx_codebook,
-                                        sim::Time t, double tx_power_dbm) const {
-  PathSnapshot& snapshot = scratch_snapshot();
-  make_snapshot(tx_pose, rx_pose, t, tx_power_dbm, snapshot);
-  return sweep_rx_beams(snapshot, tx_beam, rx_codebook);
-}
-
 Channel::BestPair Channel::best_beam_pair(const Pose& tx_pose,
                                           const Codebook& tx_codebook,
                                           const Pose& rx_pose,

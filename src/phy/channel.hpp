@@ -93,17 +93,12 @@ class Channel {
                        double tx_power_dbm, PathSnapshot& out,
                        SnapshotReuse* reuse, SnapshotCacheStats* stats) const;
 
-  /// Ground-truth helper for the metric layer (protocols must not call
-  /// this): the RX beam in `rx_codebook` with the highest rx power for
-  /// this geometry/time, together with that power.
+  /// The best RX beam of an RX sweep (sweep_rx_beams) and its rx power:
+  /// ground truth for the metric layer (protocols must not sweep).
   struct BestBeam {
     BeamId beam = kInvalidBeam;
     double rx_power_dbm = 0.0;
   };
-  [[nodiscard]] BestBeam best_rx_beam(const Pose& tx_pose, const Beam& tx_beam,
-                                      const Pose& rx_pose,
-                                      const Codebook& rx_codebook, sim::Time t,
-                                      double tx_power_dbm) const;
 
   /// Best (TX beam, RX beam) pair over both codebooks — used to score
   /// whether a tracker stayed aligned to the best the hardware could do.

@@ -1,7 +1,7 @@
 // Beam-independent path snapshots and allocation-free codebook sweep
 // kernels — the channel-sweep fast path.
 //
-// An exhaustive sweep (Channel::best_rx_beam / best_beam_pair) evaluates
+// An exhaustive sweep (an RX sweep, or Channel::best_beam_pair) evaluates
 // the received power once per candidate beam (pair), but between
 // candidates only the beam gains change: the multipath path set, path
 // loss, reflection losses, shadowing, blockage and the body-frame
@@ -176,9 +176,8 @@ struct SnapshotCacheStats {
                                            const Beam& tx_beam,
                                            const Beam& rx_beam) noexcept;
 
-/// Best RX beam in `rx_codebook` for a fixed TX beam — the fast
-/// equivalent of Channel::best_rx_beam once a snapshot exists. Ties keep
-/// the lowest beam id, matching the naive scan.
+/// Best RX beam in `rx_codebook` for a fixed TX beam, on a snapshot.
+/// Ties keep the lowest beam id, matching the naive scan.
 [[nodiscard]] Channel::BestBeam sweep_rx_beams(const PathSnapshot& snapshot,
                                                const Beam& tx_beam,
                                                const Codebook& rx_codebook);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -113,6 +114,35 @@ TEST(Json, ObjectSetIsLastWins) {
   v.set("k", Value::unsigned_integer(2));
   EXPECT_EQ(v.members().size(), 1U);
   EXPECT_EQ(v.find("k")->as_u64(), 2U);
+}
+
+TEST(Json, ParsedDuplicateKeyKeepsFirstPositionAndLastValue) {
+  const Value v = parse(
+      R"({"a":1,"b":{"x":1,"x":2},"c":3,"a":4,"b":5,"d":6,"a":7})");
+  EXPECT_EQ(v.dump(), R"({"a":7,"b":5,"c":3,"d":6})");
+  EXPECT_EQ(parse(R"({"k":{"x":1,"y":2,"x":3}})").dump(),
+            R"({"k":{"x":3,"y":2}})");
+  EXPECT_EQ(parse(R"({"":1,"":2})").dump(), R"({"":2})");
+}
+
+// A request frame may hold 1 MiB: one object of ~100k distinct keys
+// must parse in time linear-ish in its size (the scan-per-member parse
+// took ~36 s on it).
+TEST(Json, MebibyteObjectOfDistinctKeysParsesQuickly) {
+  std::string text = "{";
+  std::size_t keys = 0;
+  while (text.size() < (std::size_t{1} << 20) - 16) {
+    text += (keys == 0 ? "\"k" : ",\"k") + std::to_string(keys) + "\":0";
+    ++keys;
+  }
+  text += '}';
+  const auto t0 = std::chrono::steady_clock::now();
+  const Value v = parse(text);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  ASSERT_EQ(v.members().size(), keys);
+  EXPECT_EQ(v.members().back().first, "k" + std::to_string(keys - 1));
+  EXPECT_LT(took.count(), 3.0) << keys << " keys";
 }
 
 TEST(Json, ObjectKeepsInsertionOrder) {

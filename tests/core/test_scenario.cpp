@@ -31,15 +31,17 @@ TEST(Scenario, MobilityFactoryMatchesScenario) {
   const ScenarioSpec spec = quick_spec();
   const net::Deployment d = make_deployment(spec);
 
-  EXPECT_NEAR(make_mobility(spec, preset::walking_ue(), spec.seed, d)
-                  ->speed_at(sim::Time::zero()),
-              1.4, 1e-9);
-  EXPECT_DOUBLE_EQ(make_mobility(spec, preset::rotating_ue(), spec.seed, d)
-                       ->speed_at(sim::Time::zero()),
-                   0.0);
-  EXPECT_NEAR(make_mobility(spec, preset::vehicular_ue(), spec.seed, d)
-                  ->speed_at(sim::Time::zero()),
-              8.9408, 1e-4);
+  // The speed bound one second in: the walk's is its 1.4 m/s plus the
+  // sway's lateral speed, the rotation stands still, the car drives at
+  // 20 mph.
+  const sim::Time t = sim::Time::zero() + sim::Duration::seconds_of(1.0);
+  const auto v_max = [&](const UeProfile& ue) {
+    return make_mobility(spec, ue, spec.seed, d)->motion_bound(t).v_max_mps;
+  };
+  EXPECT_GE(v_max(preset::walking_ue()), 1.4);
+  EXPECT_LT(v_max(preset::walking_ue()), 2.0);
+  EXPECT_DOUBLE_EQ(v_max(preset::rotating_ue()), 0.0);
+  EXPECT_NEAR(v_max(preset::vehicular_ue()), 8.9408, 1e-4);
 }
 
 TEST(Scenario, RunProducesMetrics) {

@@ -37,11 +37,6 @@ TEST(RotatedModel, YawIsBasePlusSpin) {
               wrap_pi(deg_to_rad(180.0)), 1e-9);
 }
 
-TEST(RotatedModel, SpeedDelegatesToBase) {
-  const RotatedModel m(plain_walk(), 1.0);
-  EXPECT_DOUBLE_EQ(m.speed_at(Time::zero() + 3_s), 1.0);
-}
-
 TEST(RotatedModel, ZeroRateIsTransparent) {
   const auto base = plain_walk();
   const RotatedModel m(base, 0.0);

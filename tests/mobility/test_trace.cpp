@@ -46,13 +46,6 @@ TEST(TracePlayback, ClampsOutsideRange) {
             (Vec3{0.0, 0.0, 0.0}));
   EXPECT_EQ(trace.pose_at(Time::zero() + 100_s).position,
             (Vec3{2.0, 4.0, 0.0}));
-  EXPECT_DOUBLE_EQ(trace.speed_at(Time::zero() + 100_s), 0.0);
-}
-
-TEST(TracePlayback, SpeedFromSegments) {
-  const TracePlayback trace(three_samples());
-  EXPECT_NEAR(trace.speed_at(Time::zero() + 500_ms), 2.0, 1e-9);
-  EXPECT_NEAR(trace.speed_at(Time::zero() + 2_s), 2.0, 1e-9);
 }
 
 TEST(TracePlayback, ExactSampleTimesHitSamples) {

@@ -24,20 +24,25 @@ TEST(Vehicular, PaperSpeed20Mph) {
   const VehicularRoute v(straight_route());
   const Pose p = v.pose_at(Time::zero() + 1_s);
   EXPECT_NEAR(p.position.x, 8.9408, 1e-6);
-  EXPECT_DOUBLE_EQ(v.speed_at(Time::zero()), mph_to_mps(20.0));
 }
 
 TEST(Vehicular, RouteLengthAndTraversalTime) {
+  // 100 m at 20 mph: short of the end 0.1 s before the traversal time,
+  // at the end from then on.
   const VehicularRoute v(straight_route());
-  EXPECT_DOUBLE_EQ(v.route_length_m(), 100.0);
-  EXPECT_NEAR(v.traversal_time().seconds(), 100.0 / mph_to_mps(20.0), 1e-9);
+  const auto x_at = [&](double s) {
+    return v.pose_at(Time::zero() + Duration::seconds_of(s)).position.x;
+  };
+  const double traversal_s = 100.0 / mph_to_mps(20.0);
+  EXPECT_LT(x_at(traversal_s - 0.1), 99.5);
+  EXPECT_NEAR(x_at(traversal_s), 100.0, 1e-6);
 }
 
 TEST(Vehicular, StopsAtRouteEnd) {
   const VehicularRoute v(straight_route());
   const Pose p = v.pose_at(Time::zero() + 1000_s);
   EXPECT_NEAR(p.position.x, 100.0, 1e-9);
-  EXPECT_DOUBLE_EQ(v.speed_at(Time::zero() + 1000_s), 0.0);
+  EXPECT_DOUBLE_EQ(v.motion_bound(Time::zero() + 1000_s).v_max_mps, 0.0);
 }
 
 TEST(Vehicular, OrientationFollowsTravel) {
@@ -61,10 +66,10 @@ TEST(Vehicular, MultiSegmentPositions) {
   c.speed_mps = 10.0;
   c.yaw_wobble_rad = 0.0;
   const VehicularRoute v(c);
-  EXPECT_DOUBLE_EQ(v.route_length_m(), 30.0);
   const Pose mid = v.pose_at(Time::zero() + 2_s);  // 20 m: 10 m into leg 2
   EXPECT_NEAR(mid.position.x, 10.0, 1e-9);
   EXPECT_NEAR(mid.position.y, 10.0, 1e-9);
+  EXPECT_NEAR(v.pose_at(Time::zero() + 3_s).position.y, 20.0, 1e-9);
 }
 
 TEST(Vehicular, DuplicateWaypointsSkipped) {
@@ -72,7 +77,8 @@ TEST(Vehicular, DuplicateWaypointsSkipped) {
   c.route = {{0.0, 0.0, 0.0}, {0.0, 0.0, 0.0}, {10.0, 0.0, 0.0}};
   c.speed_mps = 5.0;
   const VehicularRoute v(c);
-  EXPECT_DOUBLE_EQ(v.route_length_m(), 10.0);
+  EXPECT_NEAR(v.pose_at(Time::zero() + 1_s).position.x, 5.0, 1e-9);
+  EXPECT_NEAR(v.pose_at(Time::zero() + 2_s).position.x, 10.0, 1e-9);
 }
 
 TEST(Vehicular, WobbleBoundedAndZeroMean) {

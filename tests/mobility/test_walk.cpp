@@ -27,7 +27,6 @@ TEST(LinearWalk, AdvancesAtConfiguredSpeed) {
   EXPECT_NEAR(p0.position.x, 2.0, 1e-12);
   EXPECT_NEAR(p10.position.x, 2.0 + 14.0, 1e-9);
   EXPECT_NEAR(p10.position.y, 3.0, 1e-9);
-  EXPECT_DOUBLE_EQ(walk.speed_at(Time::zero()), 1.4);
 }
 
 TEST(LinearWalk, HeadingRotatesPath) {

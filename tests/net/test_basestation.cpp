@@ -36,18 +36,5 @@ TEST(BaseStation, ServingBeamMutable) {
   EXPECT_EQ(bs.serving_tx_beam(), 5U);
 }
 
-TEST(BaseStation, AdjacentServingBeamsAreCyclicNeighbours) {
-  BaseStation bs = make_bs();
-  bs.set_serving_tx_beam(0);
-  const auto [left, right] = bs.adjacent_serving_beams();
-  EXPECT_EQ(left, 7U);
-  EXPECT_EQ(right, 1U);
-
-  bs.set_serving_tx_beam(7);
-  const auto [left2, right2] = bs.adjacent_serving_beams();
-  EXPECT_EQ(left2, 6U);
-  EXPECT_EQ(right2, 0U);
-}
-
 }  // namespace
 }  // namespace st::net

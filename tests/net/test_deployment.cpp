@@ -67,7 +67,6 @@ TEST(Trajectories, EdgeWalkCrossesBoundary) {
   EXPECT_NEAR(start.position.y, d.config.corridor_offset_m, 0.1);
   const Pose end = walk->pose_at(Time::zero() + 30_s);
   EXPECT_GT(end.position.x, d.boundary_between(0, 1).x);
-  EXPECT_DOUBLE_EQ(walk->speed_at(Time::zero()), 1.4);
 }
 
 TEST(Trajectories, EdgeRotationSitsInOverlapRegion) {
@@ -78,7 +77,7 @@ TEST(Trajectories, EdgeRotationSitsInOverlapRegion) {
   EXPECT_LT(p.position.x, d.boundary_between(0, 1).x);
   EXPECT_GT(p.position.x, d.boundary_between(0, 1).x - 15.0);
   EXPECT_DOUBLE_EQ(p.position.y, d.config.corridor_offset_m);
-  EXPECT_DOUBLE_EQ(rot->speed_at(Time::zero()), 0.0);
+  EXPECT_EQ(rot->pose_at(Time::zero()).position, p.position);
   // Rotates a full turn every 3 s at 120 deg/s.
   EXPECT_NE(rot->pose_at(Time::zero() + 1_s).orientation.yaw(),
             rot->pose_at(Time::zero()).orientation.yaw());
@@ -87,10 +86,9 @@ TEST(Trajectories, EdgeRotationSitsInOverlapRegion) {
 TEST(Deployment, RowNeighborListsAreEveryOtherCellInIdOrder) {
   const Deployment d = make_cell_row(DeploymentConfig{}, 3);
   ASSERT_EQ(d.neighbor_lists.size(), 3U);
-  EXPECT_EQ(d.neighbors(0), (NeighborList{1, 2}));
-  EXPECT_EQ(d.neighbors(1), (NeighborList{0, 2}));
-  EXPECT_EQ(d.neighbors(2), (NeighborList{0, 1}));
-  EXPECT_THROW(static_cast<void>(d.neighbors(3)), std::out_of_range);
+  EXPECT_EQ(d.neighbor_lists[0], (NeighborList{1, 2}));
+  EXPECT_EQ(d.neighbor_lists[1], (NeighborList{0, 2}));
+  EXPECT_EQ(d.neighbor_lists[2], (NeighborList{0, 1}));
 }
 
 TEST(Deployment, BoundaryBetweenIsTheSiteMidpoint) {
@@ -123,11 +121,11 @@ TEST(Deployment, GridGeometryIsRowMajor) {
 TEST(Deployment, GridNeighborsAreAdjacentSitesNearestFirst) {
   const Deployment d = make_grid(DeploymentConfig{}, 9, 3);
   // Corner cell 0: axial 1, 3 then diagonal 4 — nothing further.
-  EXPECT_EQ(d.neighbors(0), (NeighborList{1, 3, 4}));
+  EXPECT_EQ(d.neighbor_lists[0], (NeighborList{1, 3, 4}));
   // Centre cell 4 reaches all eight surrounding sites, axials first.
-  EXPECT_EQ(d.neighbors(4), (NeighborList{1, 3, 5, 7, 0, 2, 6, 8}));
+  EXPECT_EQ(d.neighbor_lists[4], (NeighborList{1, 3, 5, 7, 0, 2, 6, 8}));
   // Edge cell 1: axials 0, 2, 4 then diagonals 3, 5.
-  EXPECT_EQ(d.neighbors(1), (NeighborList{0, 2, 4, 3, 5}));
+  EXPECT_EQ(d.neighbor_lists[1], (NeighborList{0, 2, 4, 3, 5}));
 }
 
 TEST(Deployment, OneRowGridPlacesCellsLikeTheRow) {
@@ -164,11 +162,11 @@ TEST(Deployment, CorridorAlternatesStreetSides) {
 TEST(Deployment, CorridorNeighborsAreTwoLampsEachWay) {
   const Deployment d = make_corridor(DeploymentConfig{}, 6);
   // Cell 2 sees i±1 (across the street, nearest) then i±2 (same side).
-  EXPECT_EQ(d.neighbors(2), (NeighborList{1, 3, 0, 4}));
+  EXPECT_EQ(d.neighbor_lists[2], (NeighborList{1, 3, 0, 4}));
   // End cell only looks forward.
-  EXPECT_EQ(d.neighbors(0), (NeighborList{1, 2}));
+  EXPECT_EQ(d.neighbor_lists[0], (NeighborList{1, 2}));
   // Cell 5 too far from cells 0..2.
-  EXPECT_EQ(d.neighbors(5), (NeighborList{4, 3}));
+  EXPECT_EQ(d.neighbor_lists[5], (NeighborList{4, 3}));
 }
 
 TEST(Deployment, NewShapesValidateGeometry) {

@@ -5,6 +5,7 @@
 #include "common/angles.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "phy/path_snapshot.hpp"
 #include "phy/pathloss.hpp"
 
 namespace st::phy {
@@ -86,12 +87,14 @@ TEST(Channel, DeviceRotationShiftsBestBeam) {
 
   // Receiver offset from the axis so the arrival azimuth is not on a beam
   // boundary (ties would make the winner arbitrary).
-  const auto best0 = ch.best_rx_beam(tx, omni.beam(0),
-                                     pose_at(10.0, 3.0, 0.0), cb,
-                                     Time::zero(), 10.0);
-  const auto best_rot = ch.best_rx_beam(
-      tx, omni.beam(0), pose_at(10.0, 3.0, deg_to_rad(40.0)), cb,
-      Time::zero(), 10.0);
+  const auto best_rx = [&](double yaw_rad) {
+    PathSnapshot snapshot;
+    ch.make_snapshot(tx, pose_at(10.0, 3.0, yaw_rad), Time::zero(), 10.0,
+                     snapshot);
+    return sweep_rx_beams(snapshot, omni.beam(0), cb);
+  };
+  const auto best0 = best_rx(0.0);
+  const auto best_rot = best_rx(deg_to_rad(40.0));
   // +40 deg of device yaw moves the body-frame arrival azimuth DOWN by
   // 40 deg = two 20-deg beams.
   const auto n = static_cast<BeamId>(cb.size());

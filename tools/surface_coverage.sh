@@ -14,12 +14,13 @@
 #   tools/surface_coverage.sh > zero_calls.txt
 # Progress and the surfaces' own output go to stderr; stdout is the list.
 #
-# The list is a report, not a verdict: checker-only code (invariants::*,
-# compiled out of this build's paths), golden references (*_naive) and
-# defensive branches of to_string tables are expected on it. A function
-# counts as called if any object's copy of it ran. Inline functions and
-# templates that no object emits do not appear, so an unused helper
-# defined in a header can be missing from the list.
+# Functions kept on purpose — checker-only code (invariants::*, compiled
+# out of this build's paths), defensive branches of to_string tables,
+# test fixtures — are listed with a one-word reason in
+# tools/surface_coverage.allow; CI fails on any other line. A function
+# counts as called if any object's copy of it ran.
+# Inline functions and templates that no object emits do not appear, so
+# an unused helper defined in a header can be missing from the list.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
