@@ -48,9 +48,10 @@ int main(int argc, char** argv) {
           sim::Duration::milliseconds(period_ms);
       // Keep the search budget at 64 dwells, as in NR initial access.
       for (core::UeProfile& ue : spec.ues) {
-        ue.tracker.search.dwell = sim::Duration::milliseconds(period_ms);
-        ue.tracker.search.budget = sim::Duration::milliseconds(64 * period_ms);
-        ue.reactive.search = ue.tracker.search;
+        ue.protocol_config.search.dwell =
+            sim::Duration::milliseconds(period_ms);
+        ue.protocol_config.search.budget =
+            sim::Duration::milliseconds(64 * period_ms);
       }
 
       const st::bench::Aggregate agg = st::bench::run_batch(spec, run_seeds);

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
     for (const double threshold : {1.0, 2.0, 3.0, 5.0, 8.0, 10.0}) {
       core::ScenarioSpec spec = scenario.spec;
       for (core::UeProfile& ue : spec.ues) {
-        ue.tracker.neighbour_tracker.drop_threshold_db = threshold;
-        ue.tracker.beamsurfer.tracker.drop_threshold_db = threshold;
+        ue.protocol_config.rss_rule.drop_threshold_db = threshold;
       }
 
       st::bench::Aggregate agg;

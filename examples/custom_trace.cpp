@@ -81,8 +81,7 @@ int main(int argc, char** argv) {
   const std::unique_ptr<core::BeamPolicy> policy =
       core::make_beam_policy(core::BeamPolicyConfig{});
   obs::TraceRecorder recorder;
-  core::SilentTracker tracker(simulator, env, core::SilentTrackerConfig{},
-                              *policy);
+  core::SilentTracker tracker(simulator, env, core::ProtocolConfig{}, *policy);
   tracker.set_sinks({.trace = &recorder});
   std::optional<net::HandoverRecord> handover;
   tracker.start(0, initial.rx_beam, initial.rx_power_dbm,

@@ -111,10 +111,8 @@ int main(int argc, char** argv) {
         false},
        {"--threshold",
         [&](const std::string& v) {
-          const double thr = std::strtod(v.c_str(), nullptr);
-          ue.tracker.neighbour_tracker.drop_threshold_db = thr;
-          ue.tracker.beamsurfer.tracker.drop_threshold_db = thr;
-          ue.reactive.beamsurfer.tracker.drop_threshold_db = thr;
+          ue.protocol_config.rss_rule.drop_threshold_db =
+              std::strtod(v.c_str(), nullptr);
         }},
        {"--cells", bench::store(spec.n_cells)},
        {"--duration",

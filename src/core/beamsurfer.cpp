@@ -26,23 +26,26 @@ void BeamSurfer::transition_to(State next) {
 
 BeamSurfer::BeamSurfer(sim::Simulator& simulator,
                        net::RadioEnvironment& environment,
-                       net::CellId serving_cell, BeamSurferConfig config)
+                       const RssTrackerConfig& rss_rule,
+                       BeamSurferConfig config)
     : simulator_(simulator),
       environment_(environment),
-      cell_(serving_cell),
       config_(config),
-      track_(simulator, environment, config.tracker, emit_,
-             obs::ProtocolCounter::kServingRxSwitches) {
+      track_(simulator, environment, rss_rule, emit_,
+             obs::ProtocolCounter::kServingRxSwitches),
+      monitor_(simulator, environment, config.link_monitor) {
   if (config.max_request_attempts == 0) {
     throw std::invalid_argument("BeamSurfer: need at least one request attempt");
   }
 }
 
-void BeamSurfer::start(phy::BeamId initial_rx_beam, double initial_rss_dbm) {
+void BeamSurfer::start(net::CellId cell, phy::BeamId initial_rx_beam,
+                       double initial_rss_dbm) {
   if (running_) {
     throw std::logic_error("BeamSurfer: already running");
   }
   running_ = true;
+  cell_ = cell;
   ST_INVARIANT(invariants::check_beam_in_codebook(
       "initial serving rx beam", initial_rx_beam,
       environment_.ue_codebook().size()));
@@ -51,11 +54,22 @@ void BeamSurfer::start(phy::BeamId initial_rx_beam, double initial_rss_dbm) {
   missed_ssbs_ = 0;
   track_.start(*this, cell_, environment_.bs(cell_).serving_tx_beam(),
                initial_rx_beam, initial_rss_dbm);
+  monitor_.start(
+      cell_, [this] { return rx_beam(); },
+      [this] { lose("radio_link_failure"); });
 }
 
 void BeamSurfer::stop() {
   track_.stop();
+  monitor_.stop();
   running_ = false;
+}
+
+void BeamSurfer::lose(std::string_view reason) {
+  stop();
+  if (on_loss_) {
+    on_loss_(reason);
+  }
 }
 
 void BeamSurfer::on_listening_burst() {
@@ -136,7 +150,8 @@ void BeamSurfer::attempt_bs_switch() {
   if (delivered) {
     request_attempts_ = 0;
     transition_to(State::kSteady);
-    if (track_.adjacent_tx_beats(config_.probe_margin_db)) {
+    // The paper's plain rule: any stronger adjacent TX beam wins.
+    if (track_.adjacent_tx_beats(/*margin_db=*/0.0)) {
       const phy::BeamId new_tx = track_.best_adjacent_tx()->beam;
       ST_INVARIANT(invariants::check_beam_in_codebook(
           "requested serving tx beam", new_tx,
@@ -163,11 +178,7 @@ void BeamSurfer::attempt_bs_switch() {
                 .type = obs::TraceEventType::kServingUnreachable,
                 .cell = cell_});
     emit_.count(obs::ProtocolCounter::kServingUnreachable);
-    transition_to(State::kSteady);  // keep sampling; the owner decides
-    request_attempts_ = 0;
-    if (on_unreachable_) {
-      on_unreachable_();
-    }
+    lose("bs_switch_request_undeliverable");
   }
 }
 

@@ -22,6 +22,12 @@
 //       request eventually stops getting through, which is exactly the
 //       paper's cue that the serving cell is lost.
 //
+// BeamSurfer is the whole serving link: it also owns the link monitor
+// (net/link_monitor.hpp) that declares radio link failure. Either trigger
+// — RLF, or rule (ii)'s request undeliverable — stops the link and is
+// reported once, with its reason, through one loss callback; both
+// protocols run this same object.
+//
 // The protocol is deliberately myopic (adjacent beams only): under
 // physical mobility the best beam drifts to a neighbouring codebook entry
 // before it drifts anywhere else, and a full re-sweep would burn the
@@ -35,6 +41,7 @@
 #include "core/beam_track.hpp"
 #include "core/rss_tracker.hpp"
 #include "net/environment.hpp"
+#include "net/link_monitor.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -52,34 +59,40 @@ enum class BeamSurferState {
 [[nodiscard]] std::string_view to_string(BeamSurferState state) noexcept;
 
 struct BeamSurferConfig {
-  RssTrackerConfig tracker{};
   /// Uplink tries for one base-station switch request before declaring
   /// the serving cell unreachable.
   unsigned max_request_attempts = 3;
-  /// A probed beam must beat the current filtered RSS by this margin to
-  /// win the switch (0 dB reproduces the paper's plain rule).
-  double probe_margin_db = 0.0;
   /// Consecutive undetected serving SSBs that count as "adaptation
   /// insufficient" even without a 3 dB drop (out-of-sync detection —
   /// needed because a filter parked at the noise floor cannot fall a
   /// further 3 dB).
   unsigned missed_ssb_limit = 5;
+  /// Radio link failure detection on the serving beam pair.
+  net::LinkMonitorConfig link_monitor{};
 };
 
 class BeamSurfer {
  public:
+  /// Why the serving link was lost: "radio_link_failure" (the link
+  /// monitor) or "bs_switch_request_undeliverable" (rule (ii)).
+  using LossCallback = std::function<void(std::string_view reason)>;
+
+  /// `rss_rule` is the 3 dB rule's filter, the one the neighbour loop runs
+  /// too.
   BeamSurfer(sim::Simulator& simulator, net::RadioEnvironment& environment,
-             net::CellId serving_cell, BeamSurferConfig config);
+             const RssTrackerConfig& rss_rule, BeamSurferConfig config);
 
-  /// Begin maintenance from an already-aligned state (the mobile was in
-  /// steady state inside the cell before reaching the edge). The serving
-  /// TX beam is read from, and written to, the base station object.
-  void start(phy::BeamId initial_rx_beam, double initial_rss_dbm);
+  /// Begin maintaining `cell` from an already-aligned state (the mobile
+  /// was in steady state inside the cell before reaching the edge), then
+  /// start its link monitor. The serving TX beam is read from, and written
+  /// to, the base station object.
+  void start(net::CellId cell, phy::BeamId initial_rx_beam,
+             double initial_rss_dbm);
 
+  /// Stop the loop and the link monitor.
   void stop();
 
   [[nodiscard]] bool running() const noexcept { return running_; }
-  [[nodiscard]] net::CellId serving_cell() const noexcept { return cell_; }
   /// Current serving receive beam (what the data link and link monitor
   /// use; during a probe burst the radio briefly listens elsewhere).
   [[nodiscard]] phy::BeamId rx_beam() const noexcept {
@@ -89,17 +102,18 @@ class BeamSurfer {
     return track_.rss().filtered_rss_dbm();
   }
 
-  /// Fires once when rule (ii)'s uplink request has failed
-  /// `max_request_attempts` times — the serving cell can no longer be
-  /// reached and adaptation is impossible. BeamSurfer keeps running (the
-  /// caller decides whether to stop it; Silent Tracker switches cells).
-  void set_unreachable_callback(std::function<void()> cb) {
-    on_unreachable_ = std::move(cb);
-  }
+  /// Fires when the serving link is lost: the link monitor declared RLF,
+  /// or rule (ii)'s uplink request failed `max_request_attempts` times.
+  /// BeamSurfer has stopped (loop and monitor) before it fires, so each
+  /// start() reports at most one loss.
+  void set_loss_callback(LossCallback cb) { on_loss_ = std::move(cb); }
 
   /// Optional recording sinks (typed trace, protocol counters; not owned,
   /// may be null).
-  void set_sinks(obs::Sinks sinks) { emit_.sinks = sinks; }
+  void set_sinks(obs::Sinks sinks) {
+    emit_.sinks = sinks;
+    monitor_.set_sinks(sinks);
+  }
 
   /// Current loop state (exposed for the contract checker and tests).
   [[nodiscard]] BeamSurferState state() const noexcept { return state_; }
@@ -111,6 +125,7 @@ class BeamSurfer {
   /// Single mutation point for `state_` (see core/invariants.hpp).
   void transition_to(State next);
   void attempt_bs_switch();
+  void lose(std::string_view reason);
 
   // BeamTrack rules (see core/beam_track.hpp). The serving link owns the
   // radio: nothing pre-empts its slots.
@@ -123,18 +138,19 @@ class BeamSurfer {
 
   sim::Simulator& simulator_;
   net::RadioEnvironment& environment_;
-  net::CellId cell_;
+  net::CellId cell_ = net::kInvalidCell;
   BeamSurferConfig config_;
   obs::Emitter emit_{obs::Component::kBeamSurfer};
 
   bool running_ = false;
   State state_ = State::kSteady;
   BeamTrack track_;
+  net::LinkMonitor monitor_;
 
   unsigned request_attempts_ = 0;
   unsigned missed_ssbs_ = 0;
 
-  std::function<void()> on_unreachable_;
+  LossCallback on_loss_;
 };
 
 }  // namespace st::core

@@ -9,11 +9,18 @@ namespace st::core {
 
 ReactiveHandover::ReactiveHandover(sim::Simulator& simulator,
                                    net::RadioEnvironment& environment,
-                                   ReactiveHandoverConfig config)
-    : simulator_(simulator), environment_(environment), config_(config) {
+                                   ProtocolConfig config)
+    : simulator_(simulator),
+      environment_(environment),
+      config_(config),
+      beamsurfer_(simulator, environment, config.rss_rule, config.beamsurfer) {
   if (environment.cell_count() < 2) {
     throw std::invalid_argument("ReactiveHandover: needs >= 2 cells");
   }
+  // A reactive mobile has no plan B: an undeliverable switch request is
+  // treated the same as RLF.
+  beamsurfer_.set_loss_callback(
+      [this](std::string_view /*reason*/) { on_serving_lost(); });
 }
 
 ReactiveHandover::~ReactiveHandover() { stop(); }
@@ -35,29 +42,12 @@ void ReactiveHandover::start(net::CellId serving_cell,
       record_.type, net::HandoverType::kHard));
   record_.type = net::HandoverType::kHard;  // always, by construction
 
-  beamsurfer_ = std::make_unique<BeamSurfer>(simulator_, environment_,
-                                             serving_cell, config_.beamsurfer);
-  beamsurfer_->set_sinks(emit_.sinks);
-  // A reactive mobile has no plan B: an undeliverable switch request is
-  // treated the same as RLF.
-  beamsurfer_->set_unreachable_callback([this] { on_serving_lost(); });
-  beamsurfer_->start(serving_rx_beam, serving_rss_dbm);
-
-  link_monitor_ = std::make_unique<net::LinkMonitor>(simulator_, environment_,
-                                                     config_.link_monitor);
-  link_monitor_->set_sinks(emit_.sinks);
-  link_monitor_->start(
-      serving_cell, [this] { return beamsurfer_->rx_beam(); },
-      [this] { on_serving_lost(); });
+  beamsurfer_.set_sinks(emit_.sinks);
+  beamsurfer_.start(serving_cell, serving_rx_beam, serving_rss_dbm);
 }
 
 void ReactiveHandover::stop() {
-  if (beamsurfer_ != nullptr) {
-    beamsurfer_->stop();
-  }
-  if (link_monitor_ != nullptr) {
-    link_monitor_->stop();
-  }
+  beamsurfer_.stop();
   if (search_ != nullptr) {
     search_->abort();
   }
@@ -68,16 +58,11 @@ void ReactiveHandover::stop() {
 }
 
 void ReactiveHandover::on_serving_lost() {
-  if (!serving_alive_) {
-    return;
-  }
   serving_alive_ = false;
   record_.serving_lost = simulator_.now();
   emit_.emit({.t = simulator_.now(),
               .type = obs::TraceEventType::kServingLost,
               .cell = serving_});
-  beamsurfer_->stop();
-  link_monitor_->stop();
   next_round();
 }
 

@@ -3,44 +3,38 @@
 // "Reactive handover mechanisms employed in omnidirectional cellular
 // technologies are not viable in the mm-wave band" (§2): this class is
 // that mechanism, transplanted to the directional setting. It maintains
-// the serving link exactly like Silent Tracker (BeamSurfer + link
-// monitor) but does *nothing* about neighbours until the serving link is
-// already dead — then it performs a from-scratch directional search
-// (paying the up-to-1.28 s initial-search cost under mobility) followed
-// by random access with the beam the search happened to find, unadapted.
-// Every transition it makes is a hard handover; the service interruption
-// gap it measures is the quantity Fig. 2c's soft handovers avoid.
+// the serving link exactly like Silent Tracker (the same BeamSurfer, with
+// the same ProtocolConfig) but does *nothing* about neighbours until the
+// serving link is already dead — then it performs a from-scratch
+// directional search (paying the up-to-1.28 s initial-search cost under
+// mobility) followed by random access with the beam the search happened
+// to find, unadapted. Every transition it makes is a hard handover; the
+// service interruption gap it measures is the quantity Fig. 2c's soft
+// handovers avoid.
 #pragma once
 
 #include <functional>
 #include <memory>
 
 #include "core/beamsurfer.hpp"
+#include "core/protocol_config.hpp"
 #include "net/cell_search.hpp"
 #include "net/environment.hpp"
 #include "net/handover.hpp"
-#include "net/link_monitor.hpp"
 #include "net/rach.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace st::core {
 
-struct ReactiveHandoverConfig {
-  BeamSurferConfig beamsurfer{};
-  net::CellSearchConfig search{};
-  net::RachConfig rach{};
-  net::LinkMonitorConfig link_monitor{};
-  unsigned max_rounds = 10;  ///< search+access rounds before giving up
-};
-
 class ReactiveHandover {
  public:
   using HandoverCallback = std::function<void(const net::HandoverRecord&)>;
 
+  /// Reads the serving-link, search, RACH and `max_rounds` fields of
+  /// `config`; the neighbour-tracking ones have nothing to act on.
   ReactiveHandover(sim::Simulator& simulator,
-                   net::RadioEnvironment& environment,
-                   ReactiveHandoverConfig config);
+                   net::RadioEnvironment& environment, ProtocolConfig config);
   ~ReactiveHandover();
 
   ReactiveHandover(const ReactiveHandover&) = delete;
@@ -53,7 +47,7 @@ class ReactiveHandover {
   [[nodiscard]] bool serving_alive() const noexcept { return serving_alive_; }
   [[nodiscard]] net::CellId serving_cell() const noexcept { return serving_; }
   [[nodiscard]] const BeamSurfer& beamsurfer() const noexcept {
-    return *beamsurfer_;
+    return beamsurfer_;
   }
 
   /// Recording sinks (typed trace, protocol counters; not owned, may be
@@ -70,15 +64,14 @@ class ReactiveHandover {
 
   sim::Simulator& simulator_;
   net::RadioEnvironment& environment_;
-  ReactiveHandoverConfig config_;
+  ProtocolConfig config_;
 
   net::CellId serving_ = net::kInvalidCell;
   bool serving_alive_ = true;
   unsigned rounds_ = 0;
   phy::BeamId found_rx_beam_ = phy::kInvalidBeam;
 
-  std::unique_ptr<BeamSurfer> beamsurfer_;
-  std::unique_ptr<net::LinkMonitor> link_monitor_;
+  BeamSurfer beamsurfer_;
   std::unique_ptr<net::CellSearch> search_;
   std::unique_ptr<net::RachProcedure> rach_;
 

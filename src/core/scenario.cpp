@@ -138,7 +138,7 @@ class ScenarioRun {
                       double rss_dbm) {
     if (profile_.protocol == ProtocolKind::kSilentTracker) {
       trackers_.push_back(std::make_unique<SilentTracker>(
-          simulator_, *environment_, profile_.tracker, *policy_));
+          simulator_, *environment_, profile_.protocol_config, *policy_));
       SilentTracker& tracker = *trackers_.back();
       tracker.set_sinks(sinks());
       if (decision_ != nullptr) {
@@ -150,7 +150,7 @@ class ScenarioRun {
                     });
     } else {
       reactives_.push_back(std::make_unique<ReactiveHandover>(
-          simulator_, *environment_, profile_.reactive));
+          simulator_, *environment_, profile_.protocol_config));
       ReactiveHandover& reactive = *reactives_.back();
       reactive.set_sinks(sinks());
       reactive.start(serving, rx_beam, rss_dbm,
@@ -212,23 +212,10 @@ class ScenarioRun {
 
   void sample_metrics() {
     const Time now = simulator_.now();
-
-    if (profile_.protocol == ProtocolKind::kSilentTracker &&
-        !trackers_.empty()) {
+    if (!trackers_.empty()) {
       const SilentTracker& tracker = *trackers_.back();
-
-      // Serving link health while the protocol still believes in it.
-      if (tracker.serving_alive()) {
-        const double snr = environment_->true_dl_snr_db(
-            tracker.serving_cell(),
-            environment_->bs(tracker.serving_cell()).serving_tx_beam(),
-            tracker.beamsurfer().rx_beam(), now);
-        result_.serving_snr_db.record(now, snr);
-        sample_rate(now, tracker.serving_cell(), snr,
-                    tracker.beamsurfer().rx_beam());
-      } else {
-        sample_rate_unserved(now);
-      }
+      sample_serving(now, tracker.serving_alive(), tracker.serving_cell(),
+                     tracker.beamsurfer());
 
       // Neighbour tracking quality (the Fig. 2c series).
       const SilentTrackerState state = tracker.state();
@@ -247,22 +234,26 @@ class ScenarioRun {
         result_.alignment_gap_db.record(now,
                                         best.rx_power_dbm - tracked_rss);
       }
-    } else if (profile_.protocol == ProtocolKind::kReactive &&
-               !reactives_.empty()) {
+    } else if (!reactives_.empty()) {
+      // The reactive baseline has no neighbour series by construction.
       const ReactiveHandover& reactive = *reactives_.back();
-      if (reactive.serving_alive()) {
-        // The reactive baseline has no neighbour series by construction.
-        const double snr = environment_->true_dl_snr_db(
-            reactive.serving_cell(),
-            environment_->bs(reactive.serving_cell()).serving_tx_beam(),
-            reactive.beamsurfer().rx_beam(), now);
-        result_.serving_snr_db.record(now, snr);
-        sample_rate(now, reactive.serving_cell(), snr,
-                    reactive.beamsurfer().rx_beam());
-      } else {
-        sample_rate_unserved(now);
-      }
+      sample_serving(now, reactive.serving_alive(), reactive.serving_cell(),
+                     reactive.beamsurfer());
     }
+  }
+
+  /// Serving link health while the protocol still believes in it, else
+  /// a rate sample inside the handover gap.
+  void sample_serving(Time now, bool alive, net::CellId cell,
+                      const BeamSurfer& serving) {
+    if (!alive) {
+      sample_rate_unserved(now);
+      return;
+    }
+    const double snr = environment_->true_dl_snr_db(
+        cell, environment_->bs(cell).serving_tx_beam(), serving.rx_beam(), now);
+    result_.serving_snr_db.record(now, snr);
+    sample_rate(now, cell, snr, serving.rx_beam());
   }
 
   /// One rate-layer sample on a served tick: SINR from the serving SNR

@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "core/beam_policy.hpp"
-#include "core/reactive_handover.hpp"
-#include "core/silent_tracker.hpp"
+#include "core/protocol_config.hpp"
 #include "rate/rate_model.hpp"
 #include "net/deployment.hpp"
 #include "net/environment.hpp"
@@ -48,8 +47,8 @@ struct UeProfile {
   /// Gaussian pattern — the realism ablation of E11.
   bool ue_ula_codebook = false;
 
-  SilentTrackerConfig tracker{};
-  ReactiveHandoverConfig reactive{};
+  /// Parameters of whichever protocol runs (both read the same set).
+  ProtocolConfig protocol_config{};
 
   /// Paper parameters for the three mobility scenarios.
   double walk_speed_mps = 1.4;

@@ -41,17 +41,20 @@ void SilentTracker::transition_to(SilentTrackerState next) {
 
 SilentTracker::SilentTracker(sim::Simulator& simulator,
                              net::RadioEnvironment& environment,
-                             SilentTrackerConfig config, BeamPolicy& policy)
+                             ProtocolConfig config, BeamPolicy& policy)
     : simulator_(simulator),
       environment_(environment),
       config_(config),
-      track_(simulator, environment, config.neighbour_tracker, emit_,
+      track_(simulator, environment, config.rss_rule, emit_,
              obs::ProtocolCounter::kNeighbourRxSwitches),
+      beamsurfer_(simulator, environment, config.rss_rule, config.beamsurfer),
       policy_(policy) {
   if (environment.cell_count() < 2) {
     throw std::invalid_argument(
         "SilentTracker: needs a serving cell and at least one neighbour");
   }
+  beamsurfer_.set_loss_callback(
+      [this](std::string_view reason) { on_serving_lost(reason); });
 }
 
 SilentTracker::~SilentTracker() { stop(); }
@@ -80,36 +83,16 @@ void SilentTracker::start(net::CellId serving_cell,
   record_ = net::HandoverRecord{};
   record_.from = serving_cell;
 
-  beamsurfer_ = std::make_unique<BeamSurfer>(simulator_, environment_,
-                                             serving_cell, config_.beamsurfer);
-  beamsurfer_->set_sinks(emit_.sinks);
-  beamsurfer_->set_unreachable_callback(
-      [this] { on_serving_lost("bs_switch_request_undeliverable"); });
-  beamsurfer_->start(serving_rx_beam, serving_rss_dbm);
-
-  link_monitor_ = std::make_unique<net::LinkMonitor>(simulator_, environment_,
-                                                     config_.link_monitor);
-  link_monitor_->set_sinks(emit_.sinks);
-  link_monitor_->start(
-      serving_cell, [this] { return beamsurfer_->rx_beam(); },
-      [this] { on_serving_lost("radio_link_failure"); });
-
+  beamsurfer_.set_sinks(emit_.sinks);
+  beamsurfer_.start(serving_cell, serving_rx_beam, serving_rss_dbm);
   enter_searching();
 }
 
 void SilentTracker::stop() {
   cancel_tracking_events();
-  if (beamsurfer_ != nullptr) {
-    beamsurfer_->stop();
-  }
-  if (link_monitor_ != nullptr) {
-    link_monitor_->stop();
-  }
+  beamsurfer_.stop();
   if (search_ != nullptr) {
     search_->abort();
-  }
-  if (fallback_search_ != nullptr) {
-    fallback_search_->abort();
   }
   if (rach_ != nullptr) {
     rach_->abort();
@@ -167,53 +150,62 @@ void SilentTracker::on_search_done(const net::SearchOutcome& outcome) {
     return;
   }
 
-  // Legacy rule: adopt the strongest detection. With a decision layer,
-  // adopt the best-*ranked* one instead (load-penalized score, penalized
-  // cells excluded, ties to the lower CellId) — the mobile prepares the
-  // neighbour it *should* join, not merely the loudest.
-  net::CellId cell = outcome.cell;
-  phy::BeamId tx_beam = outcome.tx_beam;
-  phy::BeamId rx_beam = outcome.rx_beam;
-  double rss_dbm = outcome.rss_dbm;
+  // The mobile prepares the neighbour it *should* join (with a decision
+  // layer), not merely the loudest.
+  const std::optional<net::SsbObservation> chosen =
+      pick_detection(outcome, serving_alive_);
+  if (!chosen.has_value()) {
+    // Every detection was penalized (or off-list): per the penalty rule
+    // nothing is selectable yet — keep searching until a timer expires or
+    // another cell appears.
+    emit_.count(obs::ProtocolCounter::kPolicyNoEligibleCandidate);
+    enter_searching();
+    return;
+  }
+  if (chosen->cell != outcome.cell) {
+    emit_.count(obs::ProtocolCounter::kPolicySelectionDiverted);
+  }
   if (policy_active()) {
-    const net::NeighborList& neighbors = environment_.neighbour_cells(serving_);
-    for (const net::SsbObservation& obs : outcome.all) {
-      decision_->observe(obs);
-    }
-    const std::optional<std::size_t> pick = decision_->select(
-        outcome.all, neighbors, simulator_.now(), serving_alive_);
-    if (!pick.has_value()) {
-      // Every detection was penalized (or off-list): per the penalty
-      // rule nothing is selectable yet — keep searching until a timer
-      // expires or another cell appears.
-      emit_.count(obs::ProtocolCounter::kPolicyNoEligibleCandidate);
-      enter_searching();
-      return;
-    }
-    const net::SsbObservation& chosen = outcome.all[*pick];
-    if (chosen.cell != outcome.cell) {
-      emit_.count(obs::ProtocolCounter::kPolicySelectionDiverted);
-    }
     ST_INVARIANT(invariants::check_decision_in_neighbor_list(
-        serving_, chosen.cell, neighbors));
+        serving_, chosen->cell, environment_.neighbour_cells(serving_)));
     ST_INVARIANT(invariants::check_decision_not_penalized(
-        chosen.cell, decision_->penalized(chosen.cell, simulator_.now()),
+        chosen->cell, decision_->penalized(chosen->cell, simulator_.now()),
         serving_alive_));
-    cell = chosen.cell;
-    tx_beam = chosen.tx_beam;
-    rx_beam = chosen.rx_beam;
-    rss_dbm = chosen.rss_dbm;
   }
 
   emit_.count(obs::ProtocolCounter::kInitialSearchHits);
   emit_.emit({.t = simulator_.now(),
               .type = obs::TraceEventType::kCellFound,
-              .cell = cell,
-              .beam_a = tx_beam,
-              .beam_b = rx_beam,
-              .value = rss_dbm,
+              .cell = chosen->cell,
+              .beam_a = chosen->tx_beam,
+              .beam_b = chosen->rx_beam,
+              .value = chosen->rss_dbm,
               .value2 = outcome.latency.ms()});
-  enter_tracking(cell, tx_beam, rx_beam, rss_dbm);
+  enter_tracking(chosen->cell, chosen->tx_beam, chosen->rx_beam,
+                 chosen->rss_dbm);
+}
+
+std::optional<net::SsbObservation> SilentTracker::pick_detection(
+    const net::SearchOutcome& outcome, bool serving_alive) {
+  if (!policy_active()) {
+    return net::SsbObservation{.t = simulator_.now(),
+                               .cell = outcome.cell,
+                               .tx_beam = outcome.tx_beam,
+                               .rx_beam = outcome.rx_beam,
+                               .rss_dbm = outcome.rss_dbm};
+  }
+  // Load-penalized score, penalized cells excluded, ties to the lower
+  // CellId.
+  for (const net::SsbObservation& obs : outcome.all) {
+    decision_->observe(obs);
+  }
+  const std::optional<std::size_t> pick =
+      decision_->select(outcome.all, environment_.neighbour_cells(serving_),
+                        simulator_.now(), serving_alive);
+  if (!pick.has_value()) {
+    return std::nullopt;
+  }
+  return outcome.all[*pick];
 }
 
 // ---- Silent tracking -----------------------------------------------------
@@ -455,9 +447,6 @@ void SilentTracker::on_round_done(std::optional<BeamSample> winner) {
 // ---- Serving loss and access ---------------------------------------------
 
 void SilentTracker::on_serving_lost(std::string_view reason) {
-  if (!serving_alive_) {
-    return;  // already handling it
-  }
   serving_alive_ = false;
   record_.serving_lost = simulator_.now();
   emit_.emit({.t = simulator_.now(),
@@ -465,8 +454,6 @@ void SilentTracker::on_serving_lost(std::string_view reason) {
               .cell = serving_,
               .label = reason});
   emit_.count(obs::ProtocolCounter::kServingLost);
-  beamsurfer_->stop();
-  link_monitor_->stop();
 
   switch (state_) {
     case SilentTrackerState::kTracking:
@@ -476,9 +463,7 @@ void SilentTracker::on_serving_lost(std::string_view reason) {
       // Nothing tracked yet: this is the hard-handover case the protocol
       // exists to avoid, reached only when the edge was crossed before
       // initial search ever succeeded.
-      if (search_ != nullptr) {
-        search_->abort();
-      }
+      search_->abort();
       enter_fallback();
       break;
     default:
@@ -533,7 +518,7 @@ void SilentTracker::enter_fallback() {
   ST_INVARIANT(invariants::check_handover_type_transition(
       record_.type, net::HandoverType::kHard));
   record_.type = net::HandoverType::kHard;
-  if (fallback_rounds_ >= config_.max_fallback_rounds) {
+  if (fallback_rounds_ >= config_.max_rounds) {
     complete(false);
     return;
   }
@@ -551,10 +536,10 @@ void SilentTracker::enter_fallback() {
   std::vector<net::CellId> candidates = environment_.neighbour_cells(serving_);
   // No serving cell, no pre-emption: the radio is entirely free — but the
   // user has no service either.
-  fallback_search_ = std::make_unique<net::CellSearch>(
+  search_ = std::make_unique<net::CellSearch>(
       simulator_, environment_, std::move(candidates), config_.search);
-  fallback_search_->set_sinks(emit_.sinks);
-  fallback_search_->start(
+  search_->set_sinks(emit_.sinks);
+  search_->start(
       [this](const net::SearchOutcome& o) { on_fallback_search_done(o); });
 }
 
@@ -563,34 +548,22 @@ void SilentTracker::on_fallback_search_done(const net::SearchOutcome& outcome) {
     enter_fallback();  // consumes another round
     return;
   }
-  net::CellId cell = outcome.cell;
-  phy::BeamId tx_beam = outcome.tx_beam;
-  phy::BeamId rx_beam = outcome.rx_beam;
-  double rss_dbm = outcome.rss_dbm;
+  // With no serving link, penalty timers are waived (any cell beats no
+  // cell) but load still ranks equal-RSS candidates.
+  const std::optional<net::SsbObservation> chosen =
+      pick_detection(outcome, /*serving_alive=*/false);
+  if (!chosen.has_value()) {
+    enter_fallback();  // consumes another round
+    return;
+  }
   if (policy_active()) {
-    // With no serving link, penalty timers are waived (any cell beats no
-    // cell) but load still ranks equal-RSS candidates.
-    const net::NeighborList& neighbors = environment_.neighbour_cells(serving_);
-    for (const net::SsbObservation& obs : outcome.all) {
-      decision_->observe(obs);
-    }
-    const std::optional<std::size_t> pick = decision_->select(
-        outcome.all, neighbors, simulator_.now(), /*serving_alive=*/false);
-    if (!pick.has_value()) {
-      enter_fallback();  // consumes another round
-      return;
-    }
-    const net::SsbObservation& chosen = outcome.all[*pick];
     ST_INVARIANT(invariants::check_decision_in_neighbor_list(
-        serving_, chosen.cell, neighbors));
-    cell = chosen.cell;
-    tx_beam = chosen.tx_beam;
-    rx_beam = chosen.rx_beam;
-    rss_dbm = chosen.rss_dbm;
+        serving_, chosen->cell, environment_.neighbour_cells(serving_)));
   }
   // Resume tracking during access so the fallback access still benefits
   // from receive-beam adaptation.
-  enter_tracking(cell, tx_beam, rx_beam, rss_dbm);
+  enter_tracking(chosen->cell, chosen->tx_beam, chosen->rx_beam,
+                 chosen->rss_dbm);
   enter_accessing();
 }
 

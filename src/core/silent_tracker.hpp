@@ -47,12 +47,11 @@
 #include "core/beam_policy.hpp"
 #include "core/beam_track.hpp"
 #include "core/beamsurfer.hpp"
-#include "core/rss_tracker.hpp"
+#include "core/protocol_config.hpp"
 #include "net/cell_search.hpp"
 #include "net/environment.hpp"
 #include "net/handover.hpp"
 #include "net/handover_policy.hpp"
-#include "net/link_monitor.hpp"
 #include "net/rach.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
@@ -71,28 +70,6 @@ enum class SilentTrackerState {
 
 [[nodiscard]] std::string_view to_string(SilentTrackerState state) noexcept;
 
-struct SilentTrackerConfig {
-  RssTrackerConfig neighbour_tracker{};
-  BeamSurferConfig beamsurfer{};
-  net::CellSearchConfig search{};
-  net::RachConfig rach{};
-  net::LinkMonitorConfig link_monitor{};
-  /// An adjacent neighbour TX beam must beat the tracked one by this
-  /// margin (twice in a row) before the tracker retargets.
-  double tx_retarget_margin_db = 1.0;
-  /// Full search+access rounds attempted on the hard-handover path
-  /// before giving up. Generous, because a real mobile keeps searching;
-  /// a definitive failure only happens when coverage is truly gone.
-  unsigned max_fallback_rounds = 10;
-  /// Tracking a neighbour whose SSBs have been at the correlator floor
-  /// for this long (despite recovery sweeps) abandons it and re-enters
-  /// InitialSearch — a beam that cannot be heard any more is, per
-  /// Fig. 2b's own logic, no discovered beam at all. Keeps the tracker
-  /// from riding a receding cell while a better neighbour appears (the
-  /// vehicular drive past several cells).
-  sim::Duration neighbour_abandon_after = sim::Duration::milliseconds(2000);
-};
-
 class SilentTracker {
  public:
   using HandoverCallback = std::function<void(const net::HandoverRecord&)>;
@@ -102,7 +79,7 @@ class SilentTracker {
   /// per mobile and shares it across the handover chain, like the
   /// decision layer.
   SilentTracker(sim::Simulator& simulator, net::RadioEnvironment& environment,
-                SilentTrackerConfig config, BeamPolicy& policy);
+                ProtocolConfig config, BeamPolicy& policy);
   ~SilentTracker();
 
   SilentTracker(const SilentTracker&) = delete;
@@ -131,7 +108,7 @@ class SilentTracker {
     return track_.tx_beam();
   }
   [[nodiscard]] const BeamSurfer& beamsurfer() const noexcept {
-    return *beamsurfer_;
+    return beamsurfer_;
   }
   /// Whether the serving link is still believed alive (false from the
   /// moment RLF / unreachability routed the protocol towards access).
@@ -169,6 +146,11 @@ class SilentTracker {
   }
   void enter_searching();
   void on_search_done(const net::SearchOutcome& outcome);
+  /// The detection a search resolves to: the strongest one, or with a
+  /// decision layer the best-ranked one (penalty timers waived unless
+  /// `serving_alive`); nullopt when the layer finds none eligible.
+  [[nodiscard]] std::optional<net::SsbObservation> pick_detection(
+      const net::SearchOutcome& outcome, bool serving_alive);
   void enter_tracking(net::CellId cell, phy::BeamId tx_beam,
                       phy::BeamId rx_beam, double rss_dbm);
   void schedule_rival_scan();
@@ -194,7 +176,7 @@ class SilentTracker {
 
   sim::Simulator& simulator_;
   net::RadioEnvironment& environment_;
-  SilentTrackerConfig config_;
+  ProtocolConfig config_;
 
   SilentTrackerState state_ = SilentTrackerState::kIdle;
   net::CellId serving_ = net::kInvalidCell;
@@ -202,10 +184,10 @@ class SilentTracker {
   /// The neighbour loop: cell, TX beam, RX filter and probe rounds.
   BeamTrack track_;
 
-  std::unique_ptr<BeamSurfer> beamsurfer_;
-  std::unique_ptr<net::LinkMonitor> link_monitor_;
+  /// The serving link (loop and link monitor).
+  BeamSurfer beamsurfer_;
+  /// The running search: InitialSearch's, then FallbackSearch's.
   std::unique_ptr<net::CellSearch> search_;
-  std::unique_ptr<net::CellSearch> fallback_search_;
   std::unique_ptr<net::RachProcedure> rach_;
 
   unsigned retarget_votes_ = 0;

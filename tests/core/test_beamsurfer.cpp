@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mobility/rotation.hpp"
 #include "mobility/walk.hpp"
 #include "net/test_helpers.hpp"
@@ -13,6 +16,26 @@ namespace {
 using namespace st::sim::literals;
 using sim::Time;
 
+/// A link monitor that cannot declare RLF within a test run, so that rule
+/// (ii) acts alone on the serving link.
+BeamSurferConfig without_rlf() {
+  BeamSurferConfig config;
+  config.link_monitor.failure_window = 60_s;
+  return config;
+}
+
+/// Walks straight out of coverage fast (leaves it in a couple of
+/// seconds).
+std::shared_ptr<const mobility::MobilityModel> leaving_coverage() {
+  mobility::WalkConfig walk;
+  walk.start = {5.0, 10.0, 0.0};
+  walk.heading_rad = deg_to_rad(180.0);
+  walk.speed_mps = 30.0;
+  walk.sway_amplitude_m = 0.0;
+  walk.yaw_jitter_stddev_rad = 0.0;
+  return std::make_shared<mobility::LinearWalk>(walk, 30_s, 4);
+}
+
 struct SurferWorld {
   explicit SurferWorld(std::shared_ptr<const mobility::MobilityModel> ue,
                        double beamwidth = 20.0, std::uint64_t seed = 1)
@@ -21,15 +44,21 @@ struct SurferWorld {
   void start(BeamSurferConfig config = {}) {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
-    surfer = std::make_unique<BeamSurfer>(sim, env, 0, config);
+    surfer = std::make_unique<BeamSurfer>(sim, env, RssTrackerConfig{}, config);
     surfer->set_sinks({.counters = &counters});
-    surfer->start(best.rx_beam, best.rx_power_dbm);
+    surfer->set_loss_callback([this](std::string_view reason) {
+      losses.emplace_back(reason);
+      events_at_loss = sim.events_executed();
+    });
+    surfer->start(0, best.rx_beam, best.rx_power_dbm);
   }
 
   sim::Simulator sim;
   net::RadioEnvironment env;
   obs::ProtocolCounters counters;
   std::unique_ptr<BeamSurfer> surfer;
+  std::vector<std::string> losses;
+  std::uint64_t events_at_loss = 0;
 };
 
 TEST(BeamSurfer, SteadyStateNoSwitchesOnStaticLink) {
@@ -97,7 +126,7 @@ TEST(BeamSurfer, BsSwitchRequestedWhenRxAdaptationInsufficient) {
   walk.sway_amplitude_m = 0.0;
   walk.yaw_jitter_stddev_rad = 0.0;
   SurferWorld world(std::make_shared<mobility::LinearWalk>(walk, 30_s, 3));
-  world.start();
+  world.start(without_rlf());
   world.sim.run_until(Time::zero() + 12'000_ms);
   EXPECT_GT(world.counters[obs::ProtocolCounter::kBsSwitches], 0U);
   // And the serving TX beam ends up the true best (or adjacent to it).
@@ -110,23 +139,31 @@ TEST(BeamSurfer, BsSwitchRequestedWhenRxAdaptationInsufficient) {
 }
 
 TEST(BeamSurfer, UnreachableCallbackWhenUplinkDead) {
-  // Start healthy, then teleport... we can't teleport a Stationary model,
-  // so instead walk straight out of coverage fast. When the uplink dies,
-  // rule (ii)'s request can't be delivered and the callback must fire.
-  mobility::WalkConfig walk;
-  walk.start = {5.0, 10.0, 0.0};
-  walk.heading_rad = deg_to_rad(180.0);
-  walk.speed_mps = 30.0;  // leaves coverage in a couple of seconds
-  walk.sway_amplitude_m = 0.0;
-  walk.yaw_jitter_stddev_rad = 0.0;
-  SurferWorld world(std::make_shared<mobility::LinearWalk>(walk, 30_s, 4));
-  BeamSurferConfig config;
+  // When the uplink dies, rule (ii)'s request can't be delivered and the
+  // loss callback must fire, once, with that reason; the link (loop and
+  // monitor) is stopped by then, so nothing runs afterwards.
+  SurferWorld world(leaving_coverage());
+  BeamSurferConfig config = without_rlf();
   config.max_request_attempts = 2;
   world.start(config);
-  bool unreachable = false;
-  world.surfer->set_unreachable_callback([&] { unreachable = true; });
   world.sim.run_until(Time::zero() + 20'000_ms);
-  EXPECT_TRUE(unreachable);
+  EXPECT_EQ(world.losses,
+            std::vector<std::string>{"bs_switch_request_undeliverable"});
+  EXPECT_EQ(world.counters[obs::ProtocolCounter::kServingUnreachable], 1U);
+  EXPECT_FALSE(world.surfer->running());
+  EXPECT_EQ(world.sim.events_executed(), world.events_at_loss);
+}
+
+TEST(BeamSurfer, RadioLinkFailureReportedOnceAndStopsTheLink) {
+  // The same walk with the default monitor: RLF comes first, is reported
+  // once with its reason, and stops the monitor and the loop alike.
+  SurferWorld world(leaving_coverage());
+  world.start();
+  world.sim.run_until(Time::zero() + 20'000_ms);
+  EXPECT_EQ(world.losses, std::vector<std::string>{"radio_link_failure"});
+  EXPECT_EQ(world.counters[obs::ProtocolCounter::kServingUnreachable], 0U);
+  EXPECT_FALSE(world.surfer->running());
+  EXPECT_EQ(world.sim.events_executed(), world.events_at_loss);
 }
 
 TEST(BeamSurfer, StopHaltsActivity) {
@@ -146,7 +183,7 @@ TEST(BeamSurfer, RestartAfterStop) {
   world.surfer->stop();
   EXPECT_FALSE(world.surfer->running());
   const auto best = world.env.ground_truth_best_pair(0, world.sim.now());
-  world.surfer->start(best.rx_beam, best.rx_power_dbm);
+  world.surfer->start(0, best.rx_beam, best.rx_power_dbm);
   EXPECT_TRUE(world.surfer->running());
   world.sim.run_until(Time::zero() + 500_ms);
   EXPECT_GT(world.sim.events_executed(), 0U);
@@ -156,14 +193,14 @@ TEST(BeamSurfer, InvalidConfigThrows) {
   SurferWorld world(test::standing_at({5.0, 10.0, 0.0}));
   BeamSurferConfig bad;
   bad.max_request_attempts = 0;
-  EXPECT_THROW(BeamSurfer(world.sim, world.env, 0, bad),
+  EXPECT_THROW(BeamSurfer(world.sim, world.env, RssTrackerConfig{}, bad),
                std::invalid_argument);
 }
 
 TEST(BeamSurfer, DoubleStartThrows) {
   SurferWorld world(test::standing_at({5.0, 10.0, 0.0}));
   world.start();
-  EXPECT_THROW(world.surfer->start(0, -60.0), std::logic_error);
+  EXPECT_THROW(world.surfer->start(0, 0, -60.0), std::logic_error);
 }
 
 }  // namespace

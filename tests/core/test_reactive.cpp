@@ -30,7 +30,7 @@ struct ReactiveWorld {
         walk, sim::Duration::milliseconds(120'000), 9);
   }
 
-  void start(ReactiveHandoverConfig config = {}) {
+  void start(ProtocolConfig config = {}) {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
     proto = std::make_unique<ReactiveHandover>(sim, env, config);
@@ -107,7 +107,7 @@ TEST(Reactive, StopIsClean) {
 TEST(Reactive, NullCallbackThrows) {
   ReactiveWorld world;
   world.proto = std::make_unique<ReactiveHandover>(world.sim, world.env,
-                                                   ReactiveHandoverConfig{});
+                                                   ProtocolConfig{});
   EXPECT_THROW(world.proto->start(0, 0, -60.0, nullptr),
                std::invalid_argument);
 }
@@ -119,7 +119,7 @@ TEST(Reactive, RequiresTwoCells) {
                             std::move(d.base_stations),
                             test::standing_at({5.0, 10.0, 0.0}),
                             phy::Codebook::omni());
-  EXPECT_THROW(ReactiveHandover(sim, env, ReactiveHandoverConfig{}),
+  EXPECT_THROW(ReactiveHandover(sim, env, ProtocolConfig{}),
                std::invalid_argument);
 }
 

@@ -37,7 +37,7 @@ struct TrackerWorld {
         walk, sim::Duration::milliseconds(120'000), 9);
   }
 
-  void start(SilentTrackerConfig config = {},
+  void start(ProtocolConfig config = {},
              BeamPolicyKind policy_kind = BeamPolicyKind::kSilentTracker) {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
@@ -255,7 +255,7 @@ TEST(SilentTracker, RequiresTwoCells) {
                             test::standing_at({5.0, 10.0, 0.0}),
                             phy::Codebook::omni());
   const auto policy = make_beam_policy({});
-  EXPECT_THROW(SilentTracker(sim, env, SilentTrackerConfig{}, *policy),
+  EXPECT_THROW(SilentTracker(sim, env, ProtocolConfig{}, *policy),
                std::invalid_argument);
 }
 
@@ -263,7 +263,7 @@ TEST(SilentTracker, NullCallbackThrows) {
   TrackerWorld world;
   world.policy = make_beam_policy({});
   world.tracker = std::make_unique<SilentTracker>(
-      world.sim, world.env, SilentTrackerConfig{}, *world.policy);
+      world.sim, world.env, ProtocolConfig{}, *world.policy);
   EXPECT_THROW(world.tracker->start(0, 0, -60.0, nullptr),
                std::invalid_argument);
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "core/beamsurfer.hpp"
 #include "core/rss_tracker.hpp"
@@ -62,10 +64,10 @@ TEST(BeamSurferDynamics, RotationNeverEscalatesToBsSwitch) {
       std::make_shared<mobility::DeviceRotation>(rot));
   const auto best = env.ground_truth_best_pair(0, Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
-  BeamSurfer surfer(sim, env, 0, BeamSurferConfig{});
+  BeamSurfer surfer(sim, env, RssTrackerConfig{}, BeamSurferConfig{});
   obs::ProtocolCounters counters;
   surfer.set_sinks({.counters = &counters});
-  surfer.start(best.rx_beam, best.rx_power_dbm);
+  surfer.start(0, best.rx_beam, best.rx_power_dbm);
   sim.run_until(Time::zero() + 10'000_ms);
   EXPECT_EQ(counters[obs::ProtocolCounter::kBsSwitches], 0U);
   EXPECT_GT(counters[obs::ProtocolCounter::kServingRxSwitches], 10U);
@@ -85,10 +87,10 @@ TEST(BeamSurferDynamics, ArcWalkMovesBsBeamTowardsTruth) {
       std::make_shared<mobility::LinearWalk>(walk, 30_s, 3));
   const auto best = env.ground_truth_best_pair(0, Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
-  BeamSurfer surfer(sim, env, 0, BeamSurferConfig{});
+  BeamSurfer surfer(sim, env, RssTrackerConfig{}, BeamSurferConfig{});
   obs::ProtocolCounters counters;
   surfer.set_sinks({.counters = &counters});
-  surfer.start(best.rx_beam, best.rx_power_dbm);
+  surfer.start(0, best.rx_beam, best.rx_power_dbm);
   sim.run_until(Time::zero() + 6000_ms);
 
   EXPECT_GT(counters[obs::ProtocolCounter::kBsSwitches], 0U);
@@ -101,8 +103,10 @@ TEST(BeamSurferDynamics, ArcWalkMovesBsBeamTowardsTruth) {
 }
 
 /// Rule (ii) is a communication attempt: when the uplink is dead, the
-/// attempts fail and the unreachable callback fires even though the RSS
-/// filter is pinned at the noise floor (the missed-SSB escalation).
+/// attempts fail and the loss callback fires with that reason even though
+/// the RSS filter is pinned at the noise floor (the missed-SSB
+/// escalation). The link monitor is held off RLF, which on this walk
+/// would otherwise come first.
 TEST(BeamSurferDynamics, MissedSsbEscalationReachesUnreachable) {
   mobility::WalkConfig walk;
   walk.start = {5.0, 10.0, 0.0};
@@ -117,18 +121,18 @@ TEST(BeamSurferDynamics, MissedSsbEscalationReachesUnreachable) {
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
   BeamSurferConfig config;
   config.max_request_attempts = 2;
-  BeamSurfer surfer(sim, env, 0, config);
-  bool unreachable = false;
+  config.link_monitor.failure_window = 60_s;
+  BeamSurfer surfer(sim, env, RssTrackerConfig{}, config);
+  std::vector<std::string> reasons;
   Time when{};
-  surfer.set_unreachable_callback([&] {
-    if (!unreachable) {
-      when = sim.now();
-    }
-    unreachable = true;
+  surfer.set_loss_callback([&](std::string_view reason) {
+    reasons.emplace_back(reason);
+    when = sim.now();
   });
-  surfer.start(best.rx_beam, best.rx_power_dbm);
+  surfer.start(0, best.rx_beam, best.rx_power_dbm);
   sim.run_until(Time::zero() + 20'000_ms);
-  ASSERT_TRUE(unreachable);
+  ASSERT_EQ(reasons,
+            std::vector<std::string>{"bs_switch_request_undeliverable"});
   // At 30 m/s the link dies within a couple of seconds; detection must
   // not take the whole run.
   EXPECT_LT(when, Time::zero() + 5000_ms);
@@ -153,7 +157,7 @@ struct RotationTrackerWorld {
   void start() {
     const auto best = env.ground_truth_best_pair(0, Time::zero());
     env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
-    tracker = std::make_unique<SilentTracker>(sim, env, SilentTrackerConfig{},
+    tracker = std::make_unique<SilentTracker>(sim, env, ProtocolConfig{},
                                               *policy);
     tracker->set_sinks({.counters = &counters});
     tracker->start(0, best.rx_beam, best.rx_power_dbm,
@@ -243,7 +247,7 @@ TEST(SilentTrackerDynamics, ApproachBlindSpotBoundedByRecovery) {
   const auto best = env.ground_truth_best_pair(0, Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
   const auto policy = make_beam_policy({});
-  SilentTracker tracker(sim, env, SilentTrackerConfig{}, *policy);
+  SilentTracker tracker(sim, env, ProtocolConfig{}, *policy);
   std::optional<net::HandoverRecord> record;
   tracker.start(0, best.rx_beam, best.rx_power_dbm,
                 [&](const net::HandoverRecord& r) { record = r; });
@@ -290,7 +294,7 @@ TEST(SilentTrackerDynamics, AbandonsInaudibleNeighbourAndFindsBetter) {
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
 
   // Make abandonment observable within the run.
-  SilentTrackerConfig config;
+  ProtocolConfig config;
   config.neighbour_abandon_after = 1500_ms;
   const auto policy = make_beam_policy({});
   SilentTracker tracker(sim, env, config, *policy);
@@ -321,7 +325,7 @@ TEST(SilentTrackerDynamics, NoAbandonmentWhileNeighbourAudible) {
   const auto best = env.ground_truth_best_pair(0, Time::zero());
   env.bs_mutable(0).set_serving_tx_beam(best.tx_beam);
   const auto policy = make_beam_policy({});
-  SilentTracker tracker(sim, env, SilentTrackerConfig{}, *policy);
+  SilentTracker tracker(sim, env, ProtocolConfig{}, *policy);
   obs::ProtocolCounters counters;
   tracker.set_sinks({.counters = &counters});
   std::optional<net::HandoverRecord> record;

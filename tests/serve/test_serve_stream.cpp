@@ -9,6 +9,7 @@
 // Runs in the test_serve binary, so the TSan CI leg exercises the full
 // publisher/subscriber thread mesh under the race detector.
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -278,21 +279,36 @@ TEST_F(ServeStream, SlowReaderLosesOldestFramesAndIsTold) {
   const char* const job =
       R"({"preset": "paper_walk", "overrides": {"duration_ms": 200}})";
 
-  // Probe jobs until one loses every frame it published: the stream
-  // thread did not pop at all while it ran, so it is blocked, and it stays
-  // blocked for as long as nobody reads.
+  // Bytes the stream thread wrote that the reader has not read.
+  const auto unread_bytes = [&sub] {
+    int n = -1;
+    return ::ioctl(sub.fd(), FIONREAD, &n) == 0 ? n : -1;
+  };
+
+  // Probe jobs until the stream thread is blocked in a write, where it
+  // stays for as long as nobody reads. Two signs must agree. A probe job
+  // lost every frame it published: the thread did not pop while the job
+  // ran. And the unread bytes stayed put from before the job until 25
+  // snapshot periods after it: the thread did not write either. The first
+  // sign alone is also what a thread shows that was merely descheduled
+  // (or busy) while the job ran; such a thread resumes writing and would
+  // deliver the burst below frame by frame.
   std::uint64_t jobs_done = 0;
   const auto fill_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   for (bool blocked = false; !blocked;) {
     ASSERT_LT(std::chrono::steady_clock::now(), fill_deadline)
-        << "the stream thread never fell behind";
+        << "the stream thread never blocked";
+    const int unread = unread_bytes();
     const std::uint64_t published = telemetry("published");
     const std::uint64_t dropped = telemetry("dropped");
     ASSERT_TRUE(client_.wait(submit_job(job)).has_value());
     ++jobs_done;
-    blocked = telemetry("dropped") - dropped ==
-              telemetry("published") - published;
+    if (telemetry("dropped") - dropped != telemetry("published") - published) {
+      continue;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    blocked = unread > 0 && unread_bytes() == unread;
   }
 
   // The burst under test, while the stream thread is blocked.

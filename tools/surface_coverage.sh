@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Surface coverage: the st:: functions that no shipped surface ever calls.
 #
-# Makes a `--coverage -O1` build (tests off) in build-coverage/, runs every
+# Makes a `--coverage -O0` build (tests off) in build-coverage/, runs every
 # surface a user can reach, then asks gcov for per-function summaries and
 # prints, one per line and sorted, each demangled st:: function that ran
 # in none of them. Code that only the unit tests reach shows up here.
@@ -30,7 +30,7 @@ log() { printf '[surface_coverage] %s\n' "$*" >&2; }
 
 log "configuring $build"
 cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Debug -DBUILD_TESTING=OFF \
-  -DCMAKE_CXX_FLAGS="--coverage -O1" \
+  -DCMAKE_CXX_FLAGS="--coverage -O0" \
   -DCMAKE_EXE_LINKER_FLAGS="--coverage" >&2
 log "building"
 cmake --build "$build" -j "$(nproc)" >&2
@@ -58,7 +58,7 @@ for example in quickstart cell_edge_walk vehicular_handover \
 done
 
 cli="$build/examples/scenario_cli"
-run "$cli" --scenario walk --duration 10 --csv snr
+run "$cli" --scenario walk --duration 10 --csv snr --seed 7
 run "$cli" --scenario rotation --duration 10 --ula --csv rss
 run "$cli" --scenario vehicular --duration 10 --protocol reactive
 run "$cli" --scenario walk --duration 10 --beamwidth 0 \
