@@ -259,7 +259,9 @@ class ScenarioRun {
   /// One rate-layer sample on a served tick: SINR from the serving SNR
   /// plus load-weighted interference from every loaded non-serving cell
   /// (each cell heard on its own serving TX beam through the mobile's
-  /// current RX beam). All queries ride the snapshot cache and draw no
+  /// current RX beam). Nearly every interference query is the first of
+  /// its cell at this instant, so it refreshes that cell's snapshot (on
+  /// the grid about three quarters of all snapshot queries). No query draws
   /// randomness, so the sampling is invisible to the run's events — and
   /// with no loaded cells (the paper presets) SINR degenerates to SNR
   /// without touching the cache at all.

@@ -1,47 +1,60 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace st::sim {
 
+std::uint32_t EventQueue::take_slot(EventFn fn) {
+  if (free_slots_.empty()) {
+    fns_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(fns_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  fns_[slot] = std::move(fn);
+  return slot;
+}
+
 EventId EventQueue::push(Time when, EventFn fn) {
   const EventId id = next_id_++;
-  heap_.push(HeapItem{when, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
+  // The new id is the largest, so the key goes before every key of its
+  // instant and after every later one.
+  const auto at = std::partition_point(
+      keys_.begin(), keys_.end(),
+      [when](const Key& k) { return k.when > when; });
+  keys_.insert(at, Key{when, id, take_slot(std::move(fn))});
   return id;
 }
 
-bool EventQueue::cancel(EventId id) { return callbacks_.erase(id) > 0; }
-
-bool EventQueue::empty() const noexcept { return callbacks_.empty(); }
-
-std::size_t EventQueue::size() const noexcept { return callbacks_.size(); }
-
-void EventQueue::skip_cancelled() const {
-  while (!heap_.empty() && !callbacks_.contains(heap_.top().id)) {
-    heap_.pop();
+bool EventQueue::cancel(EventId id) {
+  const auto it = std::find_if(keys_.begin(), keys_.end(),
+                               [id](const Key& k) { return k.id == id; });
+  if (it == keys_.end()) {
+    return false;
   }
+  fns_[it->slot] = nullptr;  // release the callback's captures now
+  free_slots_.push_back(it->slot);
+  keys_.erase(it);
+  return true;
 }
 
 Time EventQueue::next_time() const {
-  skip_cancelled();
-  if (heap_.empty()) {
+  if (keys_.empty()) {
     throw std::logic_error("EventQueue::next_time on empty queue");
   }
-  return heap_.top().when;
+  return keys_.back().when;
 }
 
 EventQueue::Entry EventQueue::pop() {
-  skip_cancelled();
-  if (heap_.empty()) {
+  if (keys_.empty()) {
     throw std::logic_error("EventQueue::pop on empty queue");
   }
-  const HeapItem item = heap_.top();
-  heap_.pop();
-  auto it = callbacks_.find(item.id);
-  Entry entry{item.when, item.id, std::move(it->second)};
-  callbacks_.erase(it);
-  return entry;
+  const Key key = keys_.back();
+  keys_.pop_back();
+  free_slots_.push_back(key.slot);
+  return Entry{key.when, key.id, std::exchange(fns_[key.slot], nullptr)};
 }
 
 }  // namespace st::sim

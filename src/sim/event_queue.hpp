@@ -1,15 +1,20 @@
-// Pending-event set for the discrete-event engine: a binary heap keyed by
-// (time, sequence number). The sequence number makes same-time events fire
-// in scheduling order, which keeps runs deterministic — protocol races
-// (e.g. an SSB measurement and a blockage onset in the same slot) resolve
-// the same way on every platform. Events are cancellable via handles so a
-// timer can be disarmed when its state machine leaves the waiting state.
+// Pending-event set for the discrete-event engine, ordered by (time, id).
+// Ids grow with push order, so same-time events fire in scheduling order,
+// which keeps runs deterministic — protocol races (e.g. an SSB measurement
+// and a blockage onset in the same slot) resolve the same way on every
+// platform. Events are cancellable via handles so a timer can be disarmed
+// when its state machine leaves the waiting state.
+//
+// Two flat arrays hold the set: the (time, id, slot) keys, kept sorted
+// latest-first so the next event sits at the back, and a pool of callback
+// slots that a free list reuses. Once both have grown to the schedule's
+// depth, push and pop allocate nothing. A cancel removes its key at once
+// by a linear scan (cancels are rare and the set is a few dozen deep), so
+// size() always counts live events.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -31,12 +36,11 @@ class EventQueue {
   EventId push(Time when, EventFn fn);
 
   /// Cancel a pending event. Returns false if it already fired, was
-  /// already cancelled, or never existed. Cancellation is O(1) (lazy:
-  /// cancelled entries are skipped at pop time).
+  /// already cancelled, or never existed.
   bool cancel(EventId id);
 
-  [[nodiscard]] bool empty() const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept;
+  [[nodiscard]] bool empty() const noexcept { return keys_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
 
   /// Time of the earliest pending event. Precondition: !empty().
   [[nodiscard]] Time next_time() const;
@@ -45,30 +49,19 @@ class EventQueue {
   [[nodiscard]] Entry pop();
 
  private:
-  struct HeapItem {
+  struct Key {
     Time when;
-    std::uint64_t seq;
     EventId id;
-  };
-  struct Later {
-    bool operator()(const HeapItem& a, const HeapItem& b) const noexcept {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
+    std::uint32_t slot;  // index into fns_
   };
 
-  /// Drop cancelled entries from the heap top. Logically const — it only
-  /// collapses lazily-cancelled entries, never changes the observable
-  /// queue — so const accessors (next_time) may call it on the mutable
-  /// heap without casting away constness.
-  void skip_cancelled() const;
+  /// Move `fn` into a free slot, growing the pool only when none is free.
+  std::uint32_t take_slot(EventFn fn);
 
-  mutable std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap_;
-  std::unordered_map<EventId, EventFn> callbacks_;
+  std::vector<Key> keys_;  // sorted by (when, id), latest first
+  std::vector<EventFn> fns_;
+  std::vector<std::uint32_t> free_slots_;
   EventId next_id_ = 1;
-  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace st::sim

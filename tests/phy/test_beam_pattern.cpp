@@ -109,6 +109,51 @@ TEST(GaussianPattern, FloorShortcutMatchesReferenceBitForBit) {
   }
 }
 
+TEST(GaussianPattern, NormalisationMatchesFullIntegralBitForBit) {
+  // The constructor's Simpson integral takes the floor without calling exp
+  // past the same cut; peak and floor must be the very doubles of the
+  // integral that calls exp at every sample.
+  const auto reference_peak = [](double hpbw_rad, double floor_db) {
+    const double sigma = hpbw_rad / (2.0 * std::sqrt(2.0 * std::log(2.0)));
+    const double rel_floor = from_db(floor_db);
+    constexpr int kSamples = 4096;
+    const double h = kTwoPi / kSamples;
+    double integral = 0.0;
+    for (int i = 0; i <= kSamples; ++i) {
+      const double theta = -kPi + static_cast<double>(i) * h;
+      const double shape = std::max(
+          std::exp(-theta * theta / (2.0 * sigma * sigma)), rel_floor);
+      const double w =
+          (i == 0 || i == kSamples) ? 1.0 : (i % 2 == 1 ? 4.0 : 2.0);
+      integral += w * shape;
+    }
+    integral *= h / 3.0;
+    return kTwoPi / integral;
+  };
+  for (int hpbw_deg = 1; hpbw_deg <= 360; ++hpbw_deg) {
+    for (const double floor_db :
+         {-40.0, -30.0, -20.0, -13.0, -6.0, -1.0, -0.1, -0.01, -0.001}) {
+      const double hpbw = deg_to_rad(static_cast<double>(hpbw_deg));
+      const GaussianPattern p(hpbw, floor_db);
+      const double want_peak = reference_peak(hpbw, floor_db);
+      const double want_floor = from_db(floor_db) * want_peak;
+      // gain_linear(0) is the peak itself (exp(-0) == 1); at a half turn
+      // it is max(lobe, floor), which the shortcut test pins to the full
+      // formula.
+      const double got_peak = p.gain_linear(0.0);
+      const double sigma = hpbw / (2.0 * std::sqrt(2.0 * std::log(2.0)));
+      const double want_far = std::max(
+          want_peak * std::exp(-kPi * kPi / (2.0 * sigma * sigma)),
+          want_floor);
+      const double got_far = p.gain_linear(kPi);
+      ASSERT_EQ(std::memcmp(&got_peak, &want_peak, sizeof got_peak), 0)
+          << hpbw_deg << " deg, " << floor_db << " dB";
+      ASSERT_EQ(std::memcmp(&got_far, &want_far, sizeof got_far), 0)
+          << hpbw_deg << " deg, " << floor_db << " dB";
+    }
+  }
+}
+
 /// Energy conservation: mean linear gain over azimuth ~ 1 (0 dBi) — a beam
 /// concentrates energy, it does not create it. Checked across the paper's
 /// codebook beamwidths.

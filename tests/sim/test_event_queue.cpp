@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <utility>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace st::sim {
 namespace {
@@ -85,6 +91,101 @@ TEST(EventQueue, EntryCarriesScheduledTime) {
   q.push(Time::zero() + 7_ms, [] {});
   const EventQueue::Entry e = q.pop();
   EXPECT_EQ(e.when, Time::zero() + 7_ms);
+}
+
+// Random push/cancel/pop sequences against an ordered map keyed by
+// (time, id): pop order, size() and every cancel result must agree. Times
+// fall on a coarse grid so that equal-time ties are common; cancels hit
+// the head, a middle entry, the back, an already-fired id and an unknown id.
+TEST(EventQueue, MatchesOrderedMapReference) {
+  enum Cancel { kHead, kMiddle, kBack, kFired, kUnknown, kCancelKinds };
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    std::map<std::pair<Time, EventId>, int> reference;
+    std::vector<EventId> fired_ids;
+    std::vector<int> fired;
+    std::vector<int> cancels(kCancelKinds, 0);
+    int ties = 0;
+    int next_token = 0;
+    Time now = Time::zero();
+
+    const auto pop_one = [&] {
+      const auto head = reference.begin();
+      ASSERT_EQ(q.next_time(), head->first.first);
+      EventQueue::Entry e = q.pop();
+      ASSERT_EQ(e.when, head->first.first);
+      ASSERT_EQ(e.id, head->first.second);
+      e.fn();
+      ASSERT_EQ(fired.back(), head->second);
+      now = e.when;
+      fired_ids.push_back(e.id);
+      reference.erase(head);
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+      const double op = rng.uniform();
+      if (op < 0.5) {
+        const Time when =
+            now + static_cast<std::int64_t>(rng.uniform_index(8)) * 1_ms;
+        const int token = next_token++;
+        const EventId id =
+            q.push(when, [&fired, token] { fired.push_back(token); });
+        const auto next = reference.lower_bound({when, 0});
+        ties += next != reference.end() && next->first.first == when ? 1 : 0;
+        ASSERT_TRUE(reference.emplace(std::pair{when, id}, token).second);
+      } else if (op < 0.8) {
+        if (!reference.empty()) {
+          pop_one();
+          ASSERT_FALSE(HasFatalFailure());
+        }
+      } else {
+        const auto kind = static_cast<Cancel>(rng.uniform_index(kCancelKinds));
+        EventId id = 0;
+        bool live = false;
+        if (kind == kFired) {
+          if (fired_ids.empty()) {
+            continue;
+          }
+          id = fired_ids[rng.uniform_index(fired_ids.size())];
+        } else if (kind == kUnknown) {
+          id = (1ULL << 40) + rng.uniform_index(1000);
+        } else {
+          if (reference.empty()) {
+            continue;
+          }
+          auto it = reference.begin();
+          if (kind == kBack) {
+            it = std::prev(reference.end());
+          } else if (kind == kMiddle) {
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 rng.uniform_index(reference.size())));
+          }
+          id = it->first.second;
+          live = true;
+          reference.erase(it);
+        }
+        ASSERT_EQ(q.cancel(id), live);
+        if (live) {
+          ASSERT_FALSE(q.cancel(id));  // a second cancel finds nothing
+        }
+        ++cancels[kind];
+      }
+      ASSERT_EQ(q.size(), reference.size());
+      ASSERT_EQ(q.empty(), reference.empty());
+    }
+    while (!reference.empty()) {
+      pop_one();
+      ASSERT_FALSE(HasFatalFailure());
+      ASSERT_EQ(q.size(), reference.size());
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(ties, 100);
+    for (const int count : cancels) {
+      EXPECT_GT(count, 10);
+    }
+  }
 }
 
 }  // namespace

@@ -150,6 +150,29 @@ TEST(Simulator, EngineStatsTrackExecutionAndQueueDepth) {
   EXPECT_GE(stats.wall_seconds, 0.0);
 }
 
+TEST(Simulator, QueueDepthHwmCountsOnlyLiveEvents) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  for (int i = 1; i <= 5; ++i) {
+    ids.push_back(sim.schedule_at(Time::zero() + i * 1_ms, [] {}));
+  }
+  EXPECT_EQ(sim.stats().queue_depth_hwm, 5U);
+  // Three cancels leave two live events; two more schedules make four,
+  // which does not pass the mark of five.
+  for (std::size_t i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(sim.cancel(ids[i]));
+  }
+  sim.schedule_at(Time::zero() + 6_ms, [] {});
+  sim.schedule_at(Time::zero() + 7_ms, [] {});
+  EXPECT_EQ(sim.stats().queue_depth_hwm, 5U);
+  sim.schedule_at(Time::zero() + 8_ms, [] {});
+  sim.schedule_at(Time::zero() + 9_ms, [] {});
+  EXPECT_EQ(sim.stats().queue_depth_hwm, 6U);
+  sim.run_until(Time::zero() + 20_ms);
+  EXPECT_EQ(sim.stats().events_executed, 6U);
+  EXPECT_EQ(sim.stats().queue_depth_hwm, 6U);
+}
+
 TEST(Simulator, EngineStatsAccumulateAcrossRunCalls) {
   Simulator sim;
   sim.schedule_at(Time::zero() + 1_ms, [] {});

@@ -112,21 +112,32 @@ wait "$tail_pid" || true  # ends on its frame or when the daemon closes
 
 log "collecting gcov function summaries"
 # `gcov -f` prints "Function '<name>'" then "Lines executed:P% of N" per
-# function and object; a function ran if any object's copy has P > 0.
+# function. One gcov run per object: a run over several objects reports
+# a header-defined function once, from one object's copy, which may be
+# one that never ran. Names stay mangled for the filter, so a libstdc++
+# template whose demangled return type is an st:: type stays out; they
+# are demangled afterwards, and a function ran if any copy of it (any
+# object, any constructor or destructor variant) has P > 0.
 cd "$build"
 find . -name '*.gcda' -print0 |
-  xargs -0 gcov -f -m -n 2>/dev/null |
+  xargs -0 -n 1 gcov -f -n 2>/dev/null |
   awk '
     /^Function '\''/ {
       name = substr($0, 11, length($0) - 11)
       next
     }
     name != "" && /^Lines executed:/ {
-      pct = substr($2, 10) + 0
-      if (!(name in best) || pct > best[name]) best[name] = pct
+      if (name ~ /^_ZZ?N[KVRO]*2st/) print substr($2, 10) + 0, name
       name = ""
       next
     }
     { name = "" }
-    END { for (n in best) if (best[n] == 0 && n ~ /^st::/) print n }
+  ' | c++filt |
+  awk '
+    {
+      pct = $1 + 0
+      name = substr($0, index($0, " ") + 1)
+      if (!(name in best) || pct > best[name]) best[name] = pct
+    }
+    END { for (n in best) if (best[n] == 0) print n }
   ' | LC_ALL=C sort
